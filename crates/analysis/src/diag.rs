@@ -7,7 +7,9 @@
 //! * `SF01xx` — bytecode verifier (`stencilflow_expr::verify`), surfaced
 //!   here when a stencil kernel fails verification;
 //! * `SF02xx` — program/DAG analyzer ([`crate::analyze_program`]);
-//! * `SF03xx` — shard-link sizing ([`crate::analyze_sharding`]).
+//! * `SF03xx` — shard-link sizing ([`crate::analyze_sharding`]); SF0304,
+//!   a fault plan aimed outside the resolved shard plan, is raised at run
+//!   time by the sharded runtime (`FaultPlanError` in the reference crate).
 
 use stencilflow_json::Json;
 

@@ -139,12 +139,13 @@ fn native_ineligible_stencils_report_sf0208() {
     assert!(native[0].message.contains("not a float type"));
     assert!(report.is_clean(), "SF0208 is informational");
 
-    // A select mixing an f32 slot with the f64 literal never specializes:
-    // no typed stream, so neither the typed tiers nor Tier-4 apply.
-    let unspecializable = StencilProgramBuilder::new("mixsel", &[8, 8])
+    // A jump-based ternary (the division keeps the untyped diamond)
+    // joining an f32 arm with the f64 literal never specializes: no typed
+    // stream, so neither the typed tiers nor Tier-4 apply.
+    let unspecializable = StencilProgramBuilder::new("mixjoin", &[8, 8])
         .dims(&["i", "j"])
         .input("a", DataType::Float32, &["i", "j"])
-        .stencil("s", "a[i,j] < 0.5 ? a[i,j] : 0.5")
+        .stencil("s", "a[i,j] < 0.5 ? a[i,j] / a[i+1,j] : 0.5")
         .output("s")
         .build()
         .unwrap();
@@ -152,6 +153,17 @@ fn native_ineligible_stencils_report_sf0208() {
     let native = report.with_code("SF0208");
     assert_eq!(native.len(), 1);
     assert!(native[0].message.contains("does not specialize"));
+
+    // The same mix as a branch-free select is type-versioned into a typed
+    // stream, and stays silent.
+    let versioned = StencilProgramBuilder::new("mixsel", &[8, 8])
+        .dims(&["i", "j"])
+        .input("a", DataType::Float32, &["i", "j"])
+        .stencil("s", "m = a[i,j] < 0.5 ? a[i,j] : 0.5; m * a[i,j]")
+        .output("s")
+        .build()
+        .unwrap();
+    assert!(analyze_program(&versioned).with_code("SF0208").is_empty());
 
     // Every Tier-4-eligible kernel stays silent.
     let clean = StencilProgramBuilder::new("clean", &[8, 8])

@@ -124,7 +124,12 @@ fn main() {
     let mut mismatches = 0usize;
     for &seed in &seeds {
         for (schedule, make_plan) in &schedules {
-            let config = ShardConfig::shards(shards).with_fault_plan(make_plan(seed));
+            // Two exchange windows on every host, so the worker panic's
+            // window 1 exists (the planner would otherwise pick one 4-step
+            // window on hosts with a core per shard, and reject the fault).
+            let config = ShardConfig::shards(shards)
+                .with_window(2)
+                .with_fault_plan(make_plan(seed));
             let outcome = executor
                 .run_steps_sharded(&program, &inputs, steps, &config)
                 .unwrap();

@@ -1144,6 +1144,12 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     // jacobi3d rows (>= 1.0x full mode; the quick floor absorbs the
     // small-domain FFI-call overhead and shared-runner jitter).
     let jit_floor = if quick { 0.7 } else { 1.0 };
+    // The type-versioning gate on the paper's flagship workload: with its
+    // limiter stencils versioned, all 24 stencils run typed and
+    // lane-batched. Measured (2-core Xeon VM, 7 runs, quick and full):
+    // typed 1.57-1.85x, simd 2.36-4.70x; before versioning the row sat at
+    // typed 1.41x, simd 1.16x, which the simd floor rejects.
+    let (hdiff_typed_floor, hdiff_simd_floor) = if quick { (1.3, 1.8) } else { (1.45, 2.5) };
     let rows = parsed
         .get("rows")
         .and_then(|v| v.as_array())
@@ -1153,6 +1159,7 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     let mut checked = 0usize;
     let mut branchy_checked = 0usize;
     let mut fused_checked = 0usize;
+    let mut hdiff_checked = 0usize;
     for row in rows {
         let workload = row
             .get("workload")
@@ -1177,6 +1184,12 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
             vec![
                 ("compiled_speedup", compiled_floor),
                 ("simd_speedup", branchy_simd_floor),
+            ]
+        } else if workload.starts_with("horizontal_diffusion 24x24x64") {
+            hdiff_checked += 1;
+            vec![
+                ("typed_speedup", hdiff_typed_floor),
+                ("simd_speedup", hdiff_simd_floor),
             ]
         } else if workload.starts_with("chain") {
             fused_checked += 1;
@@ -1204,6 +1217,9 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     }
     if branchy_checked == 0 {
         return Err("no upwind3d rows to check in benchmark JSON".to_string());
+    }
+    if hdiff_checked == 0 {
+        return Err("no horizontal_diffusion 24x24x64 row to check in benchmark JSON".to_string());
     }
     if fused_checked < 2 {
         return Err("benchmark JSON is missing the fused-tier rows (chain and steps)".to_string());
@@ -1450,6 +1466,21 @@ mod tests {
         );
     }
 
+    /// A `horizontal_diffusion 24x24x64` row with the given typed-over-
+    /// `Value` and lane-over-typed speedups.
+    fn hdiff_row(typed: f64, simd: f64) -> ThroughputRow {
+        ThroughputRow {
+            workload: "horizontal_diffusion 24x24x64".to_string(),
+            cells: 884_736,
+            interpreted_cells_per_s: 0.5e6,
+            compiled_cells_per_s: 5.0e6,
+            typed_cells_per_s: 5.0e6 * typed,
+            simd_cells_per_s: 5.0e6 * typed * simd,
+            fused_cells_per_s: 5.0e6 * typed * simd,
+            jit_cells_per_s: 5.0e6 * typed * simd,
+        }
+    }
+
     #[test]
     fn check_floors_accepts_healthy_and_rejects_regressed_documents() {
         let sharded = |host_threads: usize, s1: f64, s4: f64| ShardedThroughput {
@@ -1469,8 +1500,10 @@ mod tests {
                         upwind_simd: f64,
                         chain_fused: f64,
                         steps_fused: f64,
-                        jacobi_jit: f64| {
+                        jacobi_jit: f64,
+                        hdiff: [f64; 2]| {
             let rows = vec![
+                hdiff_row(hdiff[0], hdiff[1]),
                 ThroughputRow {
                     workload: "jacobi3d 32^3 f32".to_string(),
                     cells: 1 << 15,
@@ -1514,35 +1547,49 @@ mod tests {
             ];
             throughput_json(&rows, Some(&healthy_sharded), true)
         };
-        assert!(check_floors(&document(2.0, 1.8, 1.6, 1.3, 1.2)).is_ok());
-        let err = check_floors(&document(1.0, 1.8, 1.6, 1.3, 1.2)).unwrap_err();
+        const HDIFF: [f64; 2] = [1.7, 4.0];
+        assert!(check_floors(&document(2.0, 1.8, 1.6, 1.3, 1.2, HDIFF)).is_ok());
+        let err = check_floors(&document(1.0, 1.8, 1.6, 1.3, 1.2, HDIFF)).unwrap_err();
         assert!(err.contains("simd_speedup"), "unexpected error: {err}");
         // A regressed branchy row trips its own gate.
-        let err = check_floors(&document(2.0, 1.0, 1.6, 1.3, 1.2)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.0, 1.6, 1.3, 1.2, HDIFF)).unwrap_err();
         assert!(
             err.contains("upwind3d") && err.contains("simd_speedup"),
             "unexpected error: {err}"
         );
         // Regressed fused rows trip the fused gates.
-        let err = check_floors(&document(2.0, 1.8, 1.0, 1.3, 1.2)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.8, 1.0, 1.3, 1.2, HDIFF)).unwrap_err();
         assert!(
             err.contains("chain") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
-        let err = check_floors(&document(2.0, 1.8, 1.6, 1.0, 1.2)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.8, 1.6, 1.0, 1.2, HDIFF)).unwrap_err();
         assert!(
             err.contains("steps") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
         // A native sweep losing to the fused bytecode sweep trips the
         // Tier-4 floor on the jacobi rows.
-        let err = check_floors(&document(2.0, 1.8, 1.6, 1.3, 0.5)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.8, 1.6, 1.3, 0.5, HDIFF)).unwrap_err();
         assert!(
             err.contains("jacobi3d") && err.contains("jit_speedup"),
             "unexpected error: {err}"
         );
-        // Documents without jacobi, upwind, or fused rows (or unparseable
-        // ones) are errors, not silent passes.
+        // The horizontal-diffusion row gates type versioning: before it,
+        // half the stencils ran on the `Value` path and the row measured
+        // typed 1.41x, simd 1.16x.
+        let err = check_floors(&document(2.0, 1.8, 1.6, 1.3, 1.2, [1.41, 1.16])).unwrap_err();
+        assert!(
+            err.contains("horizontal_diffusion") && err.contains("simd_speedup"),
+            "unexpected error: {err}"
+        );
+        let err = check_floors(&document(2.0, 1.8, 1.6, 1.3, 1.2, [1.1, 4.0])).unwrap_err();
+        assert!(
+            err.contains("horizontal_diffusion") && err.contains("typed_speedup"),
+            "unexpected error: {err}"
+        );
+        // Documents without jacobi, upwind, horizontal-diffusion or fused
+        // rows (or unparseable ones) are errors, not silent passes.
         assert!(check_floors("{\"quick\": true, \"rows\": []}").is_err());
         let jacobi_only = throughput_json(
             &[ThroughputRow {
@@ -1597,6 +1644,7 @@ mod tests {
                 fused_cells_per_s: 21.6e6,
                 jit_cells_per_s: 21.6e6,
             },
+            hdiff_row(1.7, 4.0),
             ThroughputRow {
                 workload: "chain 8x8op [96,32,32]".to_string(),
                 cells: 1 << 15,

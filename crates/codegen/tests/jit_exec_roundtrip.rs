@@ -15,7 +15,9 @@
 //! same libm the interpreter uses.
 
 use stencilflow_codegen::jit_eval_unit;
-use stencilflow_expr::{parse_program, CompiledKernel, DataType, TypedKernel, TypedScratch};
+use stencilflow_expr::{
+    parse_program, CompiledKernel, DataType, TypedKernel, TypedOp, TypedScratch,
+};
 use stencilflow_jit::{JitConfig, JitEngine};
 
 fn typed(source: &str, slots: &[DataType]) -> TypedKernel {
@@ -215,6 +217,31 @@ fn f32_round_wraps_round_trip_on_special_values() {
         "sqrt(abs(a[i]))",
         "floor(a[i]) + ceil(b[i])",
     ] {
+        assert_roundtrip(&engine, source, &[DataType::Float32], &cases);
+    }
+}
+
+#[test]
+fn type_versioned_limiter_kernels_round_trip() {
+    // Horizontal-diffusion-style limiters on f32 fields: the `f64` literal
+    // arm meets an `f32` arm, so specialization emits one version of the
+    // rest of the kernel per arm type plus a select between them. The
+    // versions carry different round flags; the C side must reproduce
+    // both and pick per cell exactly as the bytecode does.
+    let engine = engine();
+    let pairs = f32_pairs();
+    let cases: Vec<&[f64]> = pairs.iter().map(|p| p.as_slice()).collect();
+    for source in [
+        "lim = a[i] > 4.0 ? 4.0 : a[i]; lim * b[i] > 0.0 ? 0.0 : lim",
+        "d = a[i] - b[i]; lim = d > 4.0 ? 4.0 : d; lim * (b[i] - a[i]) > 0.0 ? 0.0 : lim",
+        "m = a[i] > 1.0 ? a[i] : 1e-30; (m * b[i] > 0.0) * m + m * a[i]",
+    ] {
+        let kernel = typed(source, &[DataType::Float32]);
+        assert!(
+            kernel.ops().contains(&TypedOp::Mul { round: true })
+                && kernel.ops().contains(&TypedOp::Mul { round: false }),
+            "`{source}` should carry an f32 and an f64 version"
+        );
         assert_roundtrip(&engine, source, &[DataType::Float32], &cases);
     }
 }

@@ -29,9 +29,10 @@
 //!
 //! On top of the slot-resolved bytecode, [`CompiledKernel::specialize`]
 //! produces a [`TypedKernel`] when every instruction's result type can be
-//! resolved statically from the slot types: evaluation then runs on raw
-//! `f64`s with compile-time `f32` rounding flags, skipping `Value` tagging
-//! and per-op promotion entirely (again bit-identical by construction).
+//! resolved statically from the slot types — type-versioning the code after
+//! a select whose arms differ in type: evaluation then runs on raw `f64`s
+//! with compile-time `f32` rounding flags, skipping `Value` tagging and
+//! per-op promotion entirely (again bit-identical by construction).
 
 use crate::ast::{BinOp, Expr, MathFn, Program, Stmt, UnOp};
 use crate::error::{ExprError, Result};
@@ -345,234 +346,64 @@ impl CompiledKernel {
     /// flag, and the typed evaluation loop is bit-identical to
     /// [`CompiledKernel::eval_slots`] by construction.
     ///
+    /// A [`Op::Select`] whose arms have different static types (the
+    /// limiter `d > 4.0 ? 4.0 : d` on an `f32` field: an `f64` literal
+    /// against an `f32` expression) is **type-versioned** rather than
+    /// rejected, after lazy basic-block versioning: the condition, both
+    /// arms and every other live value are saved in fresh locals, the rest
+    /// of the stream is emitted once per arm type — each version fully
+    /// typed with its own `round` flags and local types — and a final
+    /// [`TypedOp::Select`] on the saved condition picks, per cell, the
+    /// version whose type assumption held. A mixed select that produces
+    /// the kernel result needs no versions: consumers store the raw `f64`
+    /// through the output type, which is exact for either arm. At most
+    /// [`MAX_TYPE_VERSIONS`] versions are emitted per kernel.
+    ///
     /// Returns `None` — and consumers keep the dynamic `Value` path — when
     /// the kernel cannot be statically typed: integer-typed slots or
     /// literals (integer division can fail, which the infallible typed loop
     /// cannot express), arithmetic on two booleans, negation of a boolean
-    /// (which promotes to `int64`), or control-flow joins whose branches
-    /// produce different types.
+    /// (which promotes to `int64`), a local reassigned with a different
+    /// type, jump-based joins whose branches produce different types, a
+    /// mixed-type select inside a jump-based branch, or more than
+    /// [`MAX_TYPE_VERSIONS`] versions.
     pub fn specialize(&self, slot_types: &[DataType]) -> Option<TypedKernel> {
         assert_eq!(
             slot_types.len(),
             self.slots.len(),
             "one data type per access slot"
         );
-        let slot_stypes: Vec<SType> = slot_types
-            .iter()
-            .map(|&t| SType::from_data_type(t))
-            .collect::<Option<_>>()?;
-
-        let mut stack: Vec<SType> = Vec::new();
-        let mut locals: Vec<Option<SType>> = vec![None; self.local_count];
-        // Expected stack types at each forward-jump target. All jumps in the
-        // bytecode are forward (ternaries and short-circuit logic), so one
-        // linear pass visits every instruction with its full type context.
-        let mut joins: BTreeMap<u32, Vec<SType>> = BTreeMap::new();
+        let mut specializer = Specializer {
+            ops: &self.ops,
+            slot_types: slot_types
+                .iter()
+                .map(|&t| SType::from_data_type(t))
+                .collect::<Option<_>>()?,
+            versions: 1,
+            local_count: self.local_count,
+        };
         let mut ops = Vec::with_capacity(self.ops.len());
-        let mut live = true;
-
-        fn join(joins: &mut BTreeMap<u32, Vec<SType>>, target: u32, snapshot: Vec<SType>) -> bool {
-            match joins.get(&target) {
-                Some(existing) => *existing == snapshot,
-                None => {
-                    joins.insert(target, snapshot);
-                    true
-                }
-            }
-        }
-
-        for (pc, op) in self.ops.iter().enumerate() {
-            if let Some(snapshot) = joins.get(&(pc as u32)) {
-                if live {
-                    if *snapshot != stack {
-                        return None;
-                    }
-                } else {
-                    stack = snapshot.clone();
-                    live = true;
-                }
-            }
-            if !live {
-                // Fall-through past an unconditional jump with no recorded
-                // join: the lowering never produces this, but bail rather
-                // than guess.
-                return None;
-            }
-            match *op {
-                Op::Const(v) => {
-                    stack.push(SType::from_data_type(v.data_type())?);
-                    ops.push(TypedOp::Const(v.as_f64()));
-                }
-                Op::Slot(ix) => {
-                    stack.push(slot_stypes[ix as usize]);
-                    ops.push(TypedOp::Slot(ix));
-                }
-                Op::Local(ix) => {
-                    stack.push(locals[ix as usize]?);
-                    ops.push(TypedOp::Local(ix));
-                }
-                Op::Store(ix) => {
-                    let t = stack.pop()?;
-                    match locals[ix as usize] {
-                        Some(previous) if previous != t => return None,
-                        _ => locals[ix as usize] = Some(t),
-                    }
-                    ops.push(TypedOp::Store(ix));
-                }
-                Op::Pop => {
-                    stack.pop()?;
-                    ops.push(TypedOp::Pop);
-                }
-                Op::Unary(UnOp::Neg) => {
-                    let t = stack.pop()?;
-                    if t == SType::Bool {
-                        // Negating a boolean promotes to int64.
-                        return None;
-                    }
-                    stack.push(t);
-                    ops.push(TypedOp::Neg {
-                        round: t == SType::F32,
-                    });
-                }
-                Op::Unary(UnOp::Not) => {
-                    stack.pop()?;
-                    stack.push(SType::Bool);
-                    ops.push(TypedOp::Not);
-                }
-                Op::Binary(binop) => {
-                    let r = stack.pop()?;
-                    let l = stack.pop()?;
-                    match binop {
-                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                            let t = SType::arithmetic(l, r)?;
-                            let round = t == SType::F32;
-                            stack.push(t);
-                            ops.push(match binop {
-                                BinOp::Add => TypedOp::Add { round },
-                                BinOp::Sub => TypedOp::Sub { round },
-                                BinOp::Mul => TypedOp::Mul { round },
-                                BinOp::Div => TypedOp::Div { round },
-                                _ => unreachable!(),
-                            });
-                        }
-                        BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
-                            stack.push(SType::Bool);
-                            ops.push(TypedOp::Compare(match binop {
-                                BinOp::Lt => CompareOp::Lt,
-                                BinOp::Gt => CompareOp::Gt,
-                                BinOp::Le => CompareOp::Le,
-                                BinOp::Ge => CompareOp::Ge,
-                                BinOp::Eq => CompareOp::Eq,
-                                BinOp::Ne => CompareOp::Ne,
-                                _ => unreachable!(),
-                            }));
-                        }
-                        BinOp::And | BinOp::Or => {
-                            unreachable!("logical operators lower to jumps")
-                        }
-                    }
-                }
-                Op::Call1(func) => {
-                    let a = stack.pop()?;
-                    let t = SType::math_result(a, None);
-                    stack.push(t);
-                    ops.push(TypedOp::Call1(func, t == SType::F32));
-                }
-                Op::Call2(func) => {
-                    let b = stack.pop()?;
-                    let a = stack.pop()?;
-                    let t = SType::math_result(a, Some(b));
-                    stack.push(t);
-                    ops.push(TypedOp::Call2(func, t == SType::F32));
-                }
-                Op::Jump(target) => {
-                    if !join(&mut joins, target, stack.clone()) {
-                        return None;
-                    }
-                    live = false;
-                    ops.push(TypedOp::Jump(target));
-                }
-                Op::JumpIfFalse(target) => {
-                    stack.pop()?;
-                    if !join(&mut joins, target, stack.clone()) {
-                        return None;
-                    }
-                    ops.push(TypedOp::JumpIfFalse(target));
-                }
-                Op::AndShortCircuit(target) => {
-                    stack.pop()?;
-                    let mut taken = stack.clone();
-                    taken.push(SType::Bool);
-                    if !join(&mut joins, target, taken) {
-                        return None;
-                    }
-                    ops.push(TypedOp::AndFalse(target));
-                }
-                Op::OrShortCircuit(target) => {
-                    stack.pop()?;
-                    let mut taken = stack.clone();
-                    taken.push(SType::Bool);
-                    if !join(&mut joins, target, taken) {
-                        return None;
-                    }
-                    ops.push(TypedOp::OrTrue(target));
-                }
-                Op::ToBool => {
-                    stack.pop()?;
-                    stack.push(SType::Bool);
-                    ops.push(TypedOp::ToBool);
-                }
-                Op::Select => {
-                    let otherwise = stack.pop()?;
-                    let then = stack.pop()?;
-                    stack.pop()?; // condition: any type (truthiness).
-                    if then != otherwise {
-                        // Mixed-type arms cannot resolve to one static type —
-                        // the same condition that fails a jump-based join.
-                        return None;
-                    }
-                    stack.push(then);
-                    ops.push(TypedOp::Select);
-                }
-            }
-        }
-        // A jump may target one past the final instruction (ternary in tail
-        // position): merge that join like any other.
-        if let Some(snapshot) = joins.get(&(self.ops.len() as u32)) {
-            if live {
-                if *snapshot != stack {
-                    return None;
-                }
-            } else {
-                stack = snapshot.clone();
-                live = true;
-            }
-        }
-        if !live || stack.is_empty() {
-            return None;
-        }
+        specializer.emit(0, Vec::new(), vec![None; self.local_count], &mut ops)?;
         // Statically-typed if-conversion: the untyped pass keeps any
         // diamond whose arm contains a division (it cannot rule out the
         // fallible integer variant), but every op of this stream is now
         // proven float-typed — float division is IEEE-total — so the
         // remaining diamonds convert to branch-free selects here,
         // unlocking lane batching for division-heavy ternaries.
-        if crate::opt::typed_if_convert(&mut ops) {
-            // Both arms now evaluate unconditionally: the jump-based
-            // stack bound no longer covers the select form.
-            let max_stack = crate::opt::typed_max_stack_of(&ops);
-            return Some(debug_verified_typed(TypedKernel {
-                ops,
-                slot_count: self.slots.len(),
-                local_count: self.local_count,
-                max_stack,
-            }));
-        }
+        let converted = crate::opt::typed_if_convert(&mut ops);
+        // Both arms of a converted diamond, and every type version, now
+        // evaluate unconditionally: the jump-based stack bound no longer
+        // covers the stream.
+        let max_stack = if converted || specializer.versions > 1 {
+            crate::opt::typed_max_stack_of(&ops)
+        } else {
+            self.max_stack
+        };
         Some(debug_verified_typed(TypedKernel {
             ops,
             slot_count: self.slots.len(),
-            local_count: self.local_count,
-            max_stack: self.max_stack,
+            local_count: specializer.local_count,
+            max_stack,
         }))
     }
 
@@ -654,6 +485,300 @@ impl SType {
             SType::Bool => SType::F64,
             t => t,
         }
+    }
+}
+
+/// Most type versions one specialized kernel may carry (see
+/// [`CompiledKernel::specialize`]). Every non-tail mixed-type select
+/// doubles the code after it, so `k` of them in sequence need `2^k`
+/// versions; the limiter stencils of horizontal diffusion need two.
+pub const MAX_TYPE_VERSIONS: usize = 4;
+
+/// State of one [`CompiledKernel::specialize`] run.
+struct Specializer<'k> {
+    ops: &'k [Op],
+    slot_types: Vec<SType>,
+    /// Versions emitted so far: one, plus one per versioned select.
+    versions: usize,
+    /// Registers in use: the kernel's own, then those holding the values
+    /// each versioned select saves for its versions.
+    local_count: usize,
+}
+
+impl Specializer<'_> {
+    /// Type the untyped instructions from `start` to the end of the kernel
+    /// under the given stack and local types, appending the typed stream to
+    /// `out`.
+    fn emit(
+        &mut self,
+        start: usize,
+        mut stack: Vec<SType>,
+        mut locals: Vec<Option<SType>>,
+        out: &mut Vec<TypedOp>,
+    ) -> Option<()> {
+        fn join(joins: &mut BTreeMap<u32, Vec<SType>>, target: u32, snapshot: Vec<SType>) -> bool {
+            match joins.get(&target) {
+                Some(existing) => *existing == snapshot,
+                None => {
+                    joins.insert(target, snapshot);
+                    true
+                }
+            }
+        }
+        // Typed ops map one-to-one onto untyped ones within one call, so a
+        // jump target relocates by a fixed offset (zero for an unversioned
+        // kernel, which keeps its stream exactly).
+        let base = out.len() as i64 - start as i64;
+        let relocate = |target: u32| (i64::from(target) + base) as u32;
+        // Expected stack types at each forward-jump target. All jumps in the
+        // bytecode are forward (ternaries and short-circuit logic), so one
+        // linear pass visits every instruction with its full type context.
+        let mut joins: BTreeMap<u32, Vec<SType>> = BTreeMap::new();
+        let mut live = true;
+
+        for pc in start..self.ops.len() {
+            if let Some(snapshot) = joins.get(&(pc as u32)) {
+                if live {
+                    if *snapshot != stack {
+                        return None;
+                    }
+                } else {
+                    stack = snapshot.clone();
+                    live = true;
+                }
+            }
+            if !live {
+                // Fall-through past an unconditional jump with no recorded
+                // join: the lowering never produces this, but bail rather
+                // than guess.
+                return None;
+            }
+            match self.ops[pc] {
+                Op::Const(v) => {
+                    stack.push(SType::from_data_type(v.data_type())?);
+                    out.push(TypedOp::Const(v.as_f64()));
+                }
+                Op::Slot(ix) => {
+                    stack.push(self.slot_types[ix as usize]);
+                    out.push(TypedOp::Slot(ix));
+                }
+                Op::Local(ix) => {
+                    stack.push(locals[ix as usize]?);
+                    out.push(TypedOp::Local(ix));
+                }
+                Op::Store(ix) => {
+                    let t = stack.pop()?;
+                    match locals[ix as usize] {
+                        Some(previous) if previous != t => return None,
+                        _ => locals[ix as usize] = Some(t),
+                    }
+                    out.push(TypedOp::Store(ix));
+                }
+                Op::Pop => {
+                    stack.pop()?;
+                    out.push(TypedOp::Pop);
+                }
+                Op::Unary(UnOp::Neg) => {
+                    let t = stack.pop()?;
+                    if t == SType::Bool {
+                        // Negating a boolean promotes to int64.
+                        return None;
+                    }
+                    stack.push(t);
+                    out.push(TypedOp::Neg {
+                        round: t == SType::F32,
+                    });
+                }
+                Op::Unary(UnOp::Not) => {
+                    stack.pop()?;
+                    stack.push(SType::Bool);
+                    out.push(TypedOp::Not);
+                }
+                Op::Binary(binop) => {
+                    let r = stack.pop()?;
+                    let l = stack.pop()?;
+                    match binop {
+                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+                            let t = SType::arithmetic(l, r)?;
+                            let round = t == SType::F32;
+                            stack.push(t);
+                            out.push(match binop {
+                                BinOp::Add => TypedOp::Add { round },
+                                BinOp::Sub => TypedOp::Sub { round },
+                                BinOp::Mul => TypedOp::Mul { round },
+                                BinOp::Div => TypedOp::Div { round },
+                                _ => unreachable!(),
+                            });
+                        }
+                        BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
+                            stack.push(SType::Bool);
+                            out.push(TypedOp::Compare(match binop {
+                                BinOp::Lt => CompareOp::Lt,
+                                BinOp::Gt => CompareOp::Gt,
+                                BinOp::Le => CompareOp::Le,
+                                BinOp::Ge => CompareOp::Ge,
+                                BinOp::Eq => CompareOp::Eq,
+                                BinOp::Ne => CompareOp::Ne,
+                                _ => unreachable!(),
+                            }));
+                        }
+                        BinOp::And | BinOp::Or => {
+                            unreachable!("logical operators lower to jumps")
+                        }
+                    }
+                }
+                Op::Call1(func) => {
+                    let a = stack.pop()?;
+                    let t = SType::math_result(a, None);
+                    stack.push(t);
+                    out.push(TypedOp::Call1(func, t == SType::F32));
+                }
+                Op::Call2(func) => {
+                    let b = stack.pop()?;
+                    let a = stack.pop()?;
+                    let t = SType::math_result(a, Some(b));
+                    stack.push(t);
+                    out.push(TypedOp::Call2(func, t == SType::F32));
+                }
+                Op::Jump(target) => {
+                    if !join(&mut joins, target, stack.clone()) {
+                        return None;
+                    }
+                    live = false;
+                    out.push(TypedOp::Jump(relocate(target)));
+                }
+                Op::JumpIfFalse(target) => {
+                    stack.pop()?;
+                    if !join(&mut joins, target, stack.clone()) {
+                        return None;
+                    }
+                    out.push(TypedOp::JumpIfFalse(relocate(target)));
+                }
+                Op::AndShortCircuit(target) => {
+                    stack.pop()?;
+                    let mut taken = stack.clone();
+                    taken.push(SType::Bool);
+                    if !join(&mut joins, target, taken) {
+                        return None;
+                    }
+                    out.push(TypedOp::AndFalse(relocate(target)));
+                }
+                Op::OrShortCircuit(target) => {
+                    stack.pop()?;
+                    let mut taken = stack.clone();
+                    taken.push(SType::Bool);
+                    if !join(&mut joins, target, taken) {
+                        return None;
+                    }
+                    out.push(TypedOp::OrTrue(relocate(target)));
+                }
+                Op::ToBool => {
+                    stack.pop()?;
+                    stack.push(SType::Bool);
+                    out.push(TypedOp::ToBool);
+                }
+                Op::Select => {
+                    let otherwise = stack.pop()?;
+                    let then = stack.pop()?;
+                    stack.pop()?; // condition: any type (truthiness).
+                    if then != otherwise {
+                        // A jump still pending past this select would have
+                        // to land inside every version: keep the Value path.
+                        if joins.range(pc as u32 + 1..).next().is_some() {
+                            return None;
+                        }
+                        if pc + 1 < self.ops.len() {
+                            return self.version(pc, stack, [then, otherwise], locals, out);
+                        }
+                        // Tail select: the result only reaches the store,
+                        // which rounds the raw `f64` of either arm exactly
+                        // as the `Value` path rounds the tagged one.
+                    }
+                    stack.push(then);
+                    out.push(TypedOp::Select);
+                }
+            }
+        }
+        // A jump may target one past the final instruction (ternary in tail
+        // position): merge that join like any other.
+        if let Some(snapshot) = joins.get(&(self.ops.len() as u32)) {
+            if live {
+                if *snapshot != stack {
+                    return None;
+                }
+            } else {
+                stack = snapshot.clone();
+                live = true;
+            }
+        }
+        if !live || stack.is_empty() {
+            return None;
+        }
+        Some(())
+    }
+
+    /// Type-version the mixed-type select at `pc`, whose operands are on
+    /// the typed stack (`below` holds what lies beneath them): save every
+    /// live value, emit the rest of the kernel once per arm type, and
+    /// select between the versions' results on the saved condition.
+    fn version(
+        &mut self,
+        pc: usize,
+        below: Vec<SType>,
+        arms: [SType; 2],
+        locals: Vec<Option<SType>>,
+        out: &mut Vec<TypedOp>,
+    ) -> Option<()> {
+        self.versions += 1;
+        if self.versions > MAX_TYPE_VERSIONS {
+            return None;
+        }
+        let [then_reg, otherwise_reg, cond_reg] = [self.fresh()?, self.fresh()?, self.fresh()?];
+        out.extend([
+            TypedOp::Store(otherwise_reg),
+            TypedOp::Store(then_reg),
+            TypedOp::Store(cond_reg),
+        ]);
+        let below_regs = below
+            .iter()
+            .map(|_| self.fresh())
+            .collect::<Option<Vec<u16>>>()?;
+        out.extend(below_regs.iter().rev().map(|&reg| TypedOp::Store(reg)));
+        // Locals the rest of the kernel reassigns: the first version would
+        // clobber the value the second one starts from.
+        let rest = &self.ops[pc + 1..];
+        let mut reassigned = Vec::new();
+        for (reg, local) in locals.iter().enumerate() {
+            let reg = reg as u16;
+            if local.is_some() && rest.contains(&Op::Store(reg)) {
+                let saved = self.fresh()?;
+                out.extend([TypedOp::Local(reg), TypedOp::Store(saved)]);
+                reassigned.push((reg, saved));
+            }
+        }
+        out.push(TypedOp::Local(cond_reg));
+        for (version, (arm_reg, arm)) in [then_reg, otherwise_reg].into_iter().zip(arms).enumerate()
+        {
+            if version > 0 {
+                for &(reg, saved) in &reassigned {
+                    out.extend([TypedOp::Local(saved), TypedOp::Store(reg)]);
+                }
+            }
+            out.extend(below_regs.iter().map(|&reg| TypedOp::Local(reg)));
+            out.push(TypedOp::Local(arm_reg));
+            let mut stack = below.clone();
+            stack.push(arm);
+            self.emit(pc + 1, stack, locals.clone(), out)?;
+        }
+        out.push(TypedOp::Select);
+        Some(())
+    }
+
+    /// Allocate a register past every one in use.
+    fn fresh(&mut self) -> Option<u16> {
+        let reg = u16::try_from(self.local_count).ok()?;
+        self.local_count += 1;
+        Some(reg)
     }
 }
 
@@ -1557,11 +1682,28 @@ mod tests {
         // Integer-typed slots: no specialization.
         let kernel = compile("a[i] * 2.0");
         assert!(kernel.specialize(&[DataType::Int32]).is_none());
-        // Ternary branches of different static types: no specialization.
-        let kernel = compile("a[i] > 0.0 ? a[i] : 0.5");
-        assert!(kernel.specialize(&[DataType::Float32]).is_none());
+        // Jump-based ternary branches of different static types (the
+        // division keeps the untyped diamond): no specialization.
+        let kernel = compile("a[i] > 0.0 ? a[i] / b[i] : 0.5");
+        assert!(kernel.specialize(&[DataType::Float32; 2]).is_none());
         // ... but the same program with f64 slots joins cleanly.
-        assert!(kernel.specialize(&[DataType::Float64]).is_some());
+        assert!(kernel.specialize(&[DataType::Float64; 2]).is_some());
+        // A mixed-type select is type-versioned instead; one that produces
+        // the result needs no versions at all.
+        let tail = compile("a[i] > 0.0 ? a[i] : 0.5");
+        let typed = tail.specialize(&[DataType::Float32]).unwrap();
+        assert_eq!(typed.local_count(), tail.local_count());
+        let versioned = compile("x = a[i] > 0.0 ? a[i] : 0.5; x * a[i]");
+        let typed = versioned.specialize(&[DataType::Float32]).unwrap();
+        assert!(typed.ops().contains(&TypedOp::Mul { round: true }));
+        assert!(typed.ops().contains(&TypedOp::Mul { round: false }));
+        // Past the version cap: three independent mixed selects feeding
+        // arithmetic need eight versions.
+        let capped = compile(
+            "x = a[i] > 0.0 ? a[i] : 0.5; y = a[i] > 1.0 ? a[i] : 2.5; \
+             z = a[i] > 2.0 ? a[i] : 3.5; x * y * z",
+        );
+        assert!(capped.specialize(&[DataType::Float32]).is_none());
     }
 
     #[test]
@@ -1751,6 +1893,52 @@ mod tests {
         for lane in batched {
             assert_eq!(lane.to_bits(), scalar.to_bits());
         }
+    }
+
+    /// Specialize `kernel` for f32 slots and require bit-identity with the
+    /// `Value` path over a grid of inputs that separates the versions.
+    fn check_versioned(kernel: &CompiledKernel) {
+        let slot_types = vec![DataType::Float32; kernel.slots().len()];
+        let typed = kernel.specialize(&slot_types).unwrap();
+        assert!(typed.local_count() > kernel.local_count(), "not versioned");
+        let inputs = [-3.0, -0.0, 0.25, 1.5, 7.0];
+        for (n, first) in inputs.iter().enumerate() {
+            let raw: Vec<f64> = (0..slot_types.len())
+                .map(|s| inputs[(n + s * 2) % inputs.len()] * (s as f64 + 1.0) + first)
+                .collect();
+            let values: Vec<Value> = raw.iter().map(|&v| Value::F32(v as f32)).collect();
+            let raw: Vec<f64> = values.iter().map(|v| v.as_f64()).collect();
+            let reference = kernel
+                .eval_slots(&values, &mut EvalScratch::default())
+                .unwrap();
+            let typed_result = typed.eval_slots(&raw, &mut TypedScratch::default());
+            assert_eq!(reference.as_f64().to_bits(), typed_result.to_bits());
+        }
+    }
+
+    #[test]
+    fn versioning_spills_the_operands_below_the_select() {
+        // The select sits mid-expression: `a[i] * 3.1` and `b[i]` are on
+        // the stack beneath it and must reach both versions in order.
+        let kernel = compile("a[i] * 3.1 - b[i] * (a[i] > 1.0 ? a[i] : 0.1)");
+        check_versioned(&kernel);
+    }
+
+    #[test]
+    fn versioning_restores_reassigned_locals() {
+        // Without CSE the reassignment of `x` survives: the first version
+        // overwrites it, so the second must start from the saved value.
+        let config = crate::opt::OptConfig {
+            cse: false,
+            dce: false,
+            ..crate::opt::OptConfig::default()
+        };
+        let program =
+            parse_program("x = a[i] * 1.1; m = a[i] > 1.0 ? a[i] : 0.1; x = x * b[i]; x * m + x")
+                .unwrap();
+        let kernel = CompiledKernel::compile_with(&program, &config).unwrap();
+        assert!(kernel.ops().contains(&Op::Select));
+        check_versioned(&kernel);
     }
 
     #[test]

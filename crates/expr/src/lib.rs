@@ -91,7 +91,7 @@ pub use access::{AccessExtractor, FieldAccesses};
 pub use ast::{BinOp, Expr, MathFn, Program, Stmt, UnOp};
 pub use compile::{
     AccessSlot, CompiledKernel, EvalScratch, LaneScratch, Op, TypedKernel, TypedOp, TypedScratch,
-    KERNEL_LANES, KERNEL_LANES_WIDE,
+    KERNEL_LANES, KERNEL_LANES_WIDE, MAX_TYPE_VERSIONS,
 };
 pub use error::{ExprError, Result};
 pub use eval::{AccessResolver, Evaluator, MapResolver};

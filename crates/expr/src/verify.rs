@@ -21,7 +21,8 @@
 //! * **Type-flow soundness** — an abstract type lattice mirroring the
 //!   [`crate::Value`] promotion rules (and therefore `specialize`'s `SType`
 //!   rules, which are a refinement of them) flows through the stack, the
-//!   locals, and every join. Unlike `specialize`, mixed-type joins are
+//!   locals, and every join. Unlike `specialize` (which rejects mixed-type
+//!   jump joins and type-versions mixed-type selects), mixed-type joins are
 //!   *legal* here — the dynamic `Value` path handles them — and widen to
 //!   [`AbstractType::Any`].
 //!

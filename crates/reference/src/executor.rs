@@ -1263,6 +1263,12 @@ impl ReferenceExecutor {
             compiled.cell_count().saturating_mul(steps.max(1)) <= AUTO_MEASURE_WARMUP_MAX_CELLS;
         let mut best: Option<(std::time::Duration, AutoTier, ExecutionResult)> = None;
         for &tier in &candidates {
+            if tier == AutoTier::Jit && crate::jit::stage_fns(compiled).is_err() {
+                // Build (or fetch) the module outside the timed run, so the
+                // measurement compares sweeps rather than a sweep plus `cc`.
+                // A build error excludes the tier, like any failed run.
+                continue;
+            }
             if warm {
                 // Warmup errors surface in the timed run below.
                 let _ = self.run_auto_tier(compiled, inputs, steps, stepped, tier);

@@ -45,7 +45,9 @@ pub use serve::{
     CancelToken, JobError, JobFault, JobOutcome, JobResult, JobSpec, ServeConfig, ServeExecutor,
     ServeStats, Tier, TierCacheLoad, TierChoice, TierPolicy,
 };
-pub use shard::{FaultPlan, ShardConfig, ShardReport, ShardStats, ShardedOutcome, WatchdogReport};
+pub use shard::{
+    FaultPlan, FaultPlanError, ShardConfig, ShardReport, ShardStats, ShardedOutcome, WatchdogReport,
+};
 pub use stencilflow_jit::CacheStats as JitCacheStats;
 
 #[cfg(test)]

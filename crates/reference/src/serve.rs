@@ -930,6 +930,12 @@ impl ServeExecutor {
             compiled.cell_count().saturating_mul(job.steps.max(1)) <= MEASURE_WARMUP_MAX_CELLS;
         let mut best: Option<(Duration, Tier, ExecutionResult)> = None;
         for &tier in &candidates {
+            if tier == Tier::Jit && crate::jit::stage_fns(compiled).is_err() {
+                // Build (or fetch) the module outside the timed run, so the
+                // measurement compares sweeps rather than a sweep plus `cc`.
+                // A build error excludes the tier, like any failed run.
+                continue;
+            }
             if warm {
                 // Warmup errors surface in the timed run below.
                 if let Ok(result) = self.run_tier(shared, compiled, job, tier) {

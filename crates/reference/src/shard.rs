@@ -193,6 +193,108 @@ impl FaultPlan {
     }
 }
 
+/// A [`FaultPlan`] aimed at a worker or exchange window the resolved shard
+/// plan does not have. Such a fault could never fire, so the run is
+/// rejected instead of silently running fault-free. Every variant carries
+/// the stable code `SF0304` (see `docs/analysis.md`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPlanError {
+    /// The worker panic names a shard past the last one.
+    PanicShardOutOfRange {
+        /// The targeted shard.
+        shard: usize,
+        /// Shards in the resolved plan.
+        shards: usize,
+    },
+    /// The worker panic names a window past the last one.
+    PanicWindowOutOfRange {
+        /// The targeted window.
+        window: usize,
+        /// Exchange windows in the resolved plan.
+        windows: usize,
+    },
+    /// The worker stall names a shard past the last one.
+    StallShardOutOfRange {
+        /// The targeted shard.
+        shard: usize,
+        /// Shards in the resolved plan.
+        shards: usize,
+    },
+    /// The worker stall names a window past the last one.
+    StallWindowOutOfRange {
+        /// The targeted window.
+        window: usize,
+        /// Exchange windows in the resolved plan.
+        windows: usize,
+    },
+}
+
+impl FaultPlanError {
+    /// The stable diagnostic code (see `docs/analysis.md`).
+    pub fn code(&self) -> &'static str {
+        "SF0304"
+    }
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (fault, target, index, count) = match *self {
+            FaultPlanError::PanicShardOutOfRange { shard, shards } => {
+                ("worker panic", "shard", shard, shards)
+            }
+            FaultPlanError::PanicWindowOutOfRange { window, windows } => {
+                ("worker panic", "window", window, windows)
+            }
+            FaultPlanError::StallShardOutOfRange { shard, shards } => {
+                ("worker stall", "shard", shard, shards)
+            }
+            FaultPlanError::StallWindowOutOfRange { window, windows } => {
+                ("worker stall", "window", window, windows)
+            }
+        };
+        write!(
+            f,
+            "{}: {fault} aimed at {target} {index}, but the resolved plan has {count} \
+             {target}(s); the fault would never fire",
+            self.code()
+        )
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
+impl FaultPlan {
+    /// Check that every targeted fault lands inside a resolved plan of
+    /// `shards` workers and `windows` exchange windows.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first fault aimed outside the plan.
+    pub fn validate(
+        &self,
+        shards: usize,
+        windows: usize,
+    ) -> std::result::Result<(), FaultPlanError> {
+        if let Some((shard, window)) = self.panic_worker {
+            if shard >= shards {
+                return Err(FaultPlanError::PanicShardOutOfRange { shard, shards });
+            }
+            if window >= windows {
+                return Err(FaultPlanError::PanicWindowOutOfRange { window, windows });
+            }
+        }
+        if let Some((shard, window, _)) = self.stall_worker {
+            if shard >= shards {
+                return Err(FaultPlanError::StallShardOutOfRange { shard, shards });
+            }
+            if window >= windows {
+                return Err(FaultPlanError::StallWindowOutOfRange { window, windows });
+            }
+        }
+        Ok(())
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InjectedFault {
     None,
@@ -769,6 +871,14 @@ fn plan_run(
         window = steps.max(1);
     }
 
+    let windows = steps.max(1).div_ceil(window);
+    config
+        .fault_plan
+        .validate(shards, windows)
+        .map_err(|e| ProgramError::Invalid {
+            message: format!("cannot shard `{}`: {e}", program.name()),
+        })?;
+
     let halo_rows = radius * window;
     let geoms: Vec<SlabGeom> = slabs
         .ranges
@@ -797,7 +907,7 @@ fn plan_run(
     Ok(Plan {
         shards,
         window,
-        windows: steps.max(1).div_ceil(window),
+        windows,
         total_steps: steps.max(1),
         radius,
         halo_rows,

@@ -5,7 +5,9 @@
 use std::collections::BTreeMap;
 use stencilflow_expr::DataType;
 use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
-use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor};
+use stencilflow_reference::{
+    generate_inputs, Grid, JobSpec, ReferenceExecutor, ServeConfig, ServeExecutor,
+};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
     listing1::listing1_with_shape, upwind3d, upwind3d_typed, ChainSpec, HorizontalDiffusionSpec,
@@ -459,4 +461,53 @@ fn compiled_path_handles_explicit_grids() {
     let result = ReferenceExecutor::new().run(&program, &inputs).unwrap();
     // Zero-constant default boundaries: s = [2, 4, 6, 3].
     assert_eq!(result.field("s").unwrap().as_slice(), &[2.0, 4.0, 6.0, 3.0]);
+}
+
+#[test]
+fn horizontal_diffusion_runs_every_stencil_on_the_typed_lane_path() {
+    // The limiter stencils mix an f64 literal arm with an f32 arm; type
+    // versioning specializes them, so all 24 stencils are typed and
+    // lane-ready at every domain size.
+    let executor = ReferenceExecutor::new();
+    for spec in [
+        HorizontalDiffusionSpec::small(),
+        HorizontalDiffusionSpec::bench(),
+        HorizontalDiffusionSpec::production(8),
+    ] {
+        let compiled = executor.prepare(&horizontal_diffusion(&spec)).unwrap();
+        assert_eq!(compiled.stencil_count(), 24);
+        assert_eq!(compiled.typed_stencil_count(), 24, "{spec:?}");
+        assert_eq!(compiled.lane_stencil_count(), 24, "{spec:?}");
+    }
+
+    // The bench domain, bit for bit against the interpreter: through the
+    // prepared program and through an auto-tier service job (whose first
+    // sight measures every eligible tier).
+    let program = std::sync::Arc::new(horizontal_diffusion(&HorizontalDiffusionSpec::bench()));
+    let inputs = std::sync::Arc::new(generate_inputs(&program, 57));
+    let interpreted = executor.run_interpreted(&program, &inputs).unwrap();
+    let compiled = executor.prepare(&program).unwrap();
+    let direct = executor.run_compiled(&compiled, &inputs).unwrap();
+    let serve = ServeExecutor::new(ServeConfig::new().with_workers(2));
+    let served = serve
+        .run_one(JobSpec::new(
+            std::sync::Arc::clone(&program),
+            std::sync::Arc::clone(&inputs),
+        ))
+        .result
+        .unwrap();
+    for name in program.outputs() {
+        let want = interpreted.field(name).unwrap();
+        for (path, result) in [("run_compiled", &direct), ("serve auto", &served)] {
+            let got = result.field(name).unwrap();
+            for (cell, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{path}: `{name}` cell {cell}: {a:?} != interpreted {b:?}"
+                );
+            }
+            assert_eq!(result.valid_mask(name), interpreted.valid_mask(name));
+        }
+    }
 }

@@ -74,16 +74,14 @@ impl HorizontalDiffusionSpec {
     /// 64-cell rows give every lane-ready stencil real interior batches
     /// (and the wide f32 lane width) while staying small enough for CI.
     ///
-    /// Measuring it also exposed the *dominant* limiter on this program,
-    /// which no domain size fixes: half of its 24 stencils cannot
-    /// type-specialize at all, because the flux/update limiter ternaries
-    /// (`delta > 4.0 ? 4.0 : delta`) mix an `f64` literal arm with an
-    /// `f32` expression arm — the kernel's dynamic result type is
-    /// data-dependent, which no static tier can represent, so those
-    /// stencils evaluate on the tagged `Value` path and cap the
-    /// program-level lane speedup by Amdahl's law. (Rewriting the
-    /// limiters as `min`/`max` would specialize, but would change the
-    /// §IX-A branch inventory this reconstruction pins.)
+    /// The flux and update limiter ternaries (`delta > 4.0 ? 4.0 : delta`)
+    /// mix an `f64` literal arm with an `f32` expression arm, so their
+    /// result type is data-dependent. Type specialization versions them
+    /// (one typed copy of the rest of the kernel per arm type, selected
+    /// per cell; a limiter that produces the stencil result needs no
+    /// copy), so all 24 stencils run typed and lane-batched and this
+    /// domain measures the whole program on the lane tier. The 1-D `[j]`
+    /// coefficient inputs still keep it off the fused and JIT tiers.
     pub fn bench() -> Self {
         HorizontalDiffusionSpec {
             shape: [24, 24, 64],

@@ -7,10 +7,18 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use stencilflow::reference::{generate_inputs, FaultPlan, Grid, ReferenceExecutor, ShardConfig};
+use stencilflow::reference::{
+    generate_inputs, FaultPlan, FaultPlanError, Grid, ReferenceExecutor, ShardConfig,
+};
 use stencilflow::workloads::jacobi3d;
 
 const STEPS: usize = 4;
+
+/// Steps per exchange window for every sharded config here. Pinning it
+/// makes the plan host-independent: left to the planner, the window is the
+/// fusion window on hosts with a core per shard and 1 otherwise, and a
+/// single 4-step window has no window 1 for the targeted faults to hit.
+const WINDOW: usize = 2;
 
 fn program() -> stencilflow::StencilProgram {
     jacobi3d(1, &[24, 10, 8], 1)
@@ -83,7 +91,9 @@ fn sharded_runs_stay_bitwise_identical_to_the_interpreter_under_every_fault_sche
     ];
     for shards in [2usize, 4, 8] {
         for (name, plan) in &schedules {
-            let config = ShardConfig::shards(shards).with_fault_plan(plan.clone());
+            let config = ShardConfig::shards(shards)
+                .with_window(WINDOW)
+                .with_fault_plan(plan.clone());
             let outcome = executor
                 .run_steps_sharded(&program, &inputs, STEPS, &config)
                 .unwrap();
@@ -224,6 +234,7 @@ fn stall_longer_than_the_watchdog_trips_it_and_still_matches() {
             &inputs,
             STEPS,
             &ShardConfig::shards(3)
+                .with_window(WINDOW)
                 .with_fault_plan(FaultPlan::worker_stall(1, 1, Duration::from_millis(400)))
                 .with_watchdog(Duration::from_millis(100)),
         )
@@ -237,4 +248,59 @@ fn stall_longer_than_the_watchdog_trips_it_and_still_matches() {
         "watchdog report missing after a tripped stall"
     );
     assert_bitwise_identical(&program, &reference, &outcome.result, "stalled worker");
+}
+
+#[test]
+fn faults_aimed_outside_the_resolved_plan_are_rejected_not_skipped() {
+    // Four steps in one window: there is no window 1, and no shard 2 of
+    // two. Each misuse is refused up front with its own variant and the
+    // SF0304 code, on every host, instead of running fault-free.
+    let program = program();
+    let inputs = generate_inputs(&program, 29);
+    let executor = ReferenceExecutor::new();
+    let cases = [
+        (
+            FaultPlan::worker_panic(1, 1),
+            FaultPlanError::PanicWindowOutOfRange {
+                window: 1,
+                windows: 1,
+            },
+        ),
+        (
+            FaultPlan::worker_panic(2, 0),
+            FaultPlanError::PanicShardOutOfRange {
+                shard: 2,
+                shards: 2,
+            },
+        ),
+        (
+            FaultPlan::worker_stall(0, 3, Duration::from_millis(1)),
+            FaultPlanError::StallWindowOutOfRange {
+                window: 3,
+                windows: 1,
+            },
+        ),
+        (
+            FaultPlan::worker_stall(5, 0, Duration::from_millis(1)),
+            FaultPlanError::StallShardOutOfRange {
+                shard: 5,
+                shards: 2,
+            },
+        ),
+    ];
+    for (plan, expected) in cases {
+        assert_eq!(plan.validate(2, 1), Err(expected));
+        let config = ShardConfig::shards(2)
+            .with_window(STEPS)
+            .with_fault_plan(plan);
+        let err = executor
+            .run_steps_sharded(&program, &inputs, STEPS, &config)
+            .expect_err("a fault outside the plan must be rejected");
+        assert!(
+            err.to_string().contains("SF0304"),
+            "unexpected error: {err}"
+        );
+    }
+    // The same fault inside a plan that has the window is accepted.
+    assert!(FaultPlan::worker_panic(1, 1).validate(2, 2).is_ok());
 }
