@@ -3,7 +3,7 @@
 //! tree-walking interpreter — values and shrink masks. Ineligible
 //! programs must fall back transparently and still match, so the gate
 //! covers the full ladder: native, fused fallback, materializing
-//! fallback.
+//! fallback. `horizontal_diffusion` must take the native path.
 //!
 //! With `--assert-cached`, additionally requires that the sweep spawned
 //! the C compiler **zero** times — run from a second process against a
@@ -212,6 +212,22 @@ fn main() {
     if native == 0 {
         eprintln!("jit gate failed: no workload took the native path (vacuous gate)");
         failures += 1;
+    }
+    // The paper's flagship workload must stay native: its 1-D `[j]`
+    // coefficients broadcast into the fused scratch tiles.
+    match outcomes.iter().find(|o| o.name == "horizontal_diffusion") {
+        Some(o) if o.native => {}
+        Some(o) => {
+            eprintln!(
+                "jit gate failed: horizontal_diffusion is no longer native: {}",
+                o.fallback_reason.as_deref().unwrap_or("unknown")
+            );
+            failures += 1;
+        }
+        None => {
+            eprintln!("jit gate failed: horizontal_diffusion was not swept");
+            failures += 1;
+        }
     }
 
     let stats = stencilflow_reference::jit_cache_stats();

@@ -11,8 +11,11 @@
 //! 2. Materialize each tenant's input grids once and share them `Arc`'d
 //!    across every job that reuses the template — the service must not
 //!    depend on caller-side copies.
-//! 3. Run one warmup batch: automatic tier selection measures each
-//!    fingerprint, the buffer pools fill, the JIT compiles (if present).
+//! 3. Run the warmup batches: automatic tier selection measures each
+//!    fingerprint ([`ServeExecutor::settle`] after the first batch
+//!    finishes the JIT-eligible ones, whose measurement waits for the
+//!    background module build), the JIT compiles (if present), and two
+//!    more batches on the decided tiers fill the buffer pools.
 //! 4. Run the measured batches, recycling every result; the steady-state
 //!    counters (`pool_misses`, `mask_misses`, `compiles`) must not move
 //!    from the post-warmup snapshot. That delta, the sustained Mcells/s,
@@ -135,15 +138,20 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchReport {
 
     // Warmup: tier measurement, pool population, shared-cache compile.
     // Streaming sink: results are recycled as jobs land, so peak pooled
-    // liveness is the in-flight set, not the whole batch. Two batches, so
-    // the pool has absorbed the peak concurrent demand of the worker
-    // interleavings before the steady window opens.
-    for _ in 0..2 {
+    // liveness is the in-flight set, not the whole batch. The first batch
+    // sees every program; settling then builds the deferred native
+    // modules and measures those programs. Two more batches run every
+    // decided tier, so the pool has absorbed the peak concurrent demand
+    // of the worker interleavings before the steady window opens.
+    for warmup in 0..3 {
         serve.run_batch_with(batch(), |outcome| {
             if let Ok(result) = outcome.result {
                 serve.recycle(result);
             }
         });
+        if warmup == 0 {
+            serve.settle();
+        }
     }
     let warm = serve.stats();
 

@@ -61,7 +61,10 @@ impl ExecutionResult {
     }
 
     /// Total number of stencil-cell evaluations performed (summed over all
-    /// time steps for [`ReferenceExecutor::run_steps`]).
+    /// time steps for [`ReferenceExecutor::run_steps`]). On the fused and
+    /// JIT tiers this counts tile-overlap recompute too (about +23 % on
+    /// the 24×24×64 horizontal-diffusion domain), so cells per second are
+    /// not comparable across tiers.
     pub fn cells_evaluated(&self) -> usize {
         self.cells_evaluated
     }

@@ -47,10 +47,15 @@
 //! * every stencil carries a branch-free type-specialized kernel
 //!   ([`TypedKernel::supports_lanes`] — since typed if-conversion this
 //!   includes division-heavy ternaries);
-//! * every non-scalar field spans the full iteration space, indexed in
-//!   iteration-space dimension order (scratch tiles are laid out in space
-//!   order, so transposed accesses cannot be expressed as constant flat
-//!   offsets);
+//! * every non-scalar field is indexed in iteration-space dimension order
+//!   (scratch tiles are laid out in space order, so transposed accesses
+//!   cannot be expressed as constant flat offsets). Lower-dimensional
+//!   inputs qualify when their dims are an in-order subsequence of the
+//!   space (`c[j]`, `c[i,k]`): each keeps a full-rank scratch tile that
+//!   the per-tile copy fills by broadcasting along the missing dimensions
+//!   (source stride 0), and their taps carry zero offsets there, so the
+//!   sweep, the native emitter and its ABI see an ordinary full-rank
+//!   field. A transposed input (`c[k,j]`) falls back with a named reason;
 //! * every out-of-domain access resolves to a `Constant` boundary
 //!   condition, and all consumers of a field agree on the constant (a
 //!   `Copy` boundary reads the *accessing cell's* center, which a
@@ -70,7 +75,9 @@
 //!
 //! * every computed cell evaluates through the same [`TypedKernel`] lane
 //!   interpreter as the materializing tier, on loads that are raw grid
-//!   payloads (inputs are copied in verbatim, stage results are rounded
+//!   payloads (inputs are copied in verbatim — a broadcast copy of a
+//!   lower-dimensional input places at each position exactly the value
+//!   the interpreter reads there — stage results are rounded
 //!   through the stencil's output type before the store — exactly the
 //!   store rounding of the full-grid sweep), so each cell performs the
 //!   identical operation sequence on identical bits;
@@ -121,6 +128,13 @@ struct FusedField {
     /// Program input (copied into scratch per tile) vs. stage output
     /// (computed into scratch).
     input: bool,
+    /// Dimensions the field is indexed by (a lower-dimensional input
+    /// lists an in-order subsequence of the iteration space).
+    dims: Vec<String>,
+    /// Source-grid stride per *space* dimension: row-major over the
+    /// field's own dims, 0 along the dimensions it lacks (the per-tile
+    /// copy broadcasts along those).
+    src_stride: Vec<usize>,
     /// Whether the field is read by any live stage (or is an output).
     live: bool,
     /// Pad fill value: the consumers' shared boundary constant, rounded
@@ -233,14 +247,25 @@ impl FusePlan {
                          field_ids: &mut BTreeMap<String, usize>,
                          name: &str,
                          dtype: DataType,
-                         scalar: bool,
+                         dims: &[String],
                          input: bool| {
+            // Row-major strides over the field's own dims, scattered onto
+            // the space dimensions (callers checked the subsequence order).
+            let mut src_stride = vec![0usize; rank];
+            let mut stride = 1usize;
+            for dim in dims.iter().rev() {
+                let d = space.dim_index(dim).expect("field dims are space dims");
+                src_stride[d] = stride;
+                stride *= shape[d];
+            }
             field_ids.insert(name.to_string(), fields.len());
             dtypes.push(dtype);
             fields.push(FusedField {
                 name: name.to_string(),
-                scalar,
+                scalar: dims.is_empty(),
                 input,
+                dims: dims.to_vec(),
+                src_stride,
                 live: false,
                 pad_constant: 0.0,
                 pad_lo: vec![0; rank],
@@ -251,10 +276,22 @@ impl FusePlan {
             });
         };
         for (name, decl) in program.inputs() {
-            let scalar = decl.is_scalar();
-            if !scalar && decl.dims != space.dims {
+            // Lower-dimensional inputs broadcast into full-rank scratch,
+            // which needs their dims in iteration-space order: the
+            // per-dimension source strides then stay non-increasing, so
+            // each scratch row is a contiguous source run or one value.
+            let mut positions = decl.dims.iter().map(|d| space.dim_index(d));
+            let mut previous: Option<usize> = None;
+            let in_order = positions.all(|pos| {
+                let ok = pos.is_some_and(|p| previous.is_none_or(|q| p > q));
+                previous = pos;
+                ok
+            });
+            if !in_order {
                 return Err(format!(
-                    "input `{name}` does not span the full iteration space"
+                    "input `{name}` has dimensions [{}] out of iteration-space order [{}]",
+                    decl.dims.join(", "),
+                    space.dims.join(", ")
                 ));
             }
             new_field(
@@ -263,7 +300,7 @@ impl FusePlan {
                 &mut field_ids,
                 name,
                 decl.data_type(),
-                scalar,
+                &decl.dims,
                 true,
             );
         }
@@ -275,7 +312,7 @@ impl FusePlan {
                 &mut field_ids,
                 plan.name(),
                 plan.out_dtype(),
-                false,
+                &space.dims,
                 false,
             );
         }
@@ -301,17 +338,20 @@ impl FusePlan {
                     slots.push(FusedSlot::Scalar(field));
                     continue;
                 }
-                if slot.index_vars != space.dims {
+                if slot.index_vars != fields[field].dims {
                     return Err(format!(
                         "stencil `{}` accesses `{}` with transposed indices",
                         plan.name(),
                         slot.field
                     ));
                 }
-                slots.push(FusedSlot::Tap {
-                    field,
-                    off: slot.offsets.clone(),
-                });
+                // Offsets along the dimensions a field lacks are zero: its
+                // scratch tile holds the same value all along them.
+                let mut off = vec![0i64; rank];
+                for (var, &o) in slot.index_vars.iter().zip(&slot.offsets) {
+                    off[space.dim_index(var).expect("field dims are space dims")] = o;
+                }
+                slots.push(FusedSlot::Tap { field, off });
             }
             // The shrink-validity box from the same deduplicated check set
             // the materializing halo pass evaluates per cell.
@@ -1585,7 +1625,10 @@ fn fill_pads(
     }
 }
 
-/// Copy the in-domain rows of `region` from a full grid into scratch.
+/// Copy the in-domain rows of `region` from an input grid into scratch.
+/// Lower-dimensional inputs broadcast: their source stride is 0 along the
+/// dimensions they lack, and a row whose innermost dimension is missing
+/// is filled with its one value.
 fn copy_region_in(
     plan: &FusePlan,
     geom: &FieldGeom,
@@ -1597,18 +1640,17 @@ fn copy_region_in(
 ) {
     let rank = plan.rank;
     let shape_k = plan.shape[rank - 1];
-    let mut gstride = vec![1usize; rank];
-    for d in (0..rank - 1).rev() {
-        gstride[d] = gstride[d + 1] * plan.shape[d + 1];
-    }
+    let broadcast_row = field.src_stride[rank - 1] == 0;
     let zero_off = vec![0i64; rank];
     for_each_region_row(plan, region, |lead| {
-        let mut gflat = 0usize;
-        for (d, &l) in lead.iter().enumerate() {
-            gflat += l * gstride[d];
-        }
+        let gflat: usize = lead.iter().zip(&field.src_stride).map(|(l, s)| l * s).sum();
         let sbase = field_row_base(plan, geom, field, tile, lead, &zero_off);
-        dst[sbase..sbase + shape_k].copy_from_slice(&src[gflat..gflat + shape_k]);
+        let row = &mut dst[sbase..sbase + shape_k];
+        if broadcast_row {
+            row.fill(src[gflat]);
+        } else {
+            row.copy_from_slice(&src[gflat..gflat + shape_k]);
+        }
     });
 }
 

@@ -26,15 +26,23 @@
 //!   [`ServeStats::mask_misses`]. (Control-plane allocations — a handful
 //!   of `Vec`/`BTreeMap` nodes per job, O(stencils), not O(cells) — are
 //!   outside this discipline and bounded per job.)
-//! * **Automatic tier selection** — on first sight of a `(fingerprint,
-//!   stepped?)` key under [`TierPolicy::Auto`], the service measures every
-//!   eligible tier (SIMD always; fused and native JIT when the program
-//!   supports them) on the job itself and caches the winner, so known
-//!   regressions like fused-vs-SIMD on upwind3d can never recur: repeated
-//!   traffic always runs each program's fastest tier. All tiers are
-//!   bit-identical, so the measurement runs *are* the job — no work is
-//!   wasted. [`TierPolicy::Fixed`] and the per-job [`JobSpec::tier`]
-//!   override knob pin a tier explicitly.
+//! * **Automatic tier selection** — once per `(fingerprint, stepped?)`
+//!   key under [`TierPolicy::Auto`], the service measures every eligible
+//!   tier (SIMD always; fused and native JIT when the program supports
+//!   them) on a job and caches the winner, so known regressions like
+//!   fused-vs-SIMD on upwind3d can never recur: repeated traffic always
+//!   runs each program's fastest tier. All tiers are bit-identical, so
+//!   the measurement runs *are* the job — no work is wasted. Without a
+//!   JIT candidate the first job measures. With one, `cc` stays off the
+//!   request path: first sight runs the job on SIMD (no `cc` probe, no
+//!   measurement) and queues the module build for one background
+//!   builder thread, which starts at the next
+//!   [`run_batch_with`](ServeExecutor::run_batch_with) call; jobs keep
+//!   running on SIMD until the module lands, and the first job after that
+//!   measures. [`ServeExecutor::settle`] finishes whatever is still
+//!   pending (the daemon calls it before persisting decisions).
+//!   [`TierPolicy::Fixed`] and the per-job [`JobSpec::tier`] override
+//!   knob pin a tier explicitly.
 //!
 //! Results contain the program outputs only (the fused tier's contract),
 //! bit-identical to [`ReferenceExecutor::run_interpreted`] on every tier.
@@ -44,10 +52,11 @@ use crate::executor::{
     CompiledProgram, ExecutionResult, ReferenceExecutor, PARALLEL_THRESHOLD_CELL_ACCESSES,
 };
 use crate::grid::Grid;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stencilflow_json::Json;
 use stencilflow_program::{ProgramError, StencilProgram};
@@ -397,6 +406,33 @@ const BANDS_PER_WORKER: usize = 2;
 /// the pick); larger jobs are measured in one shot.
 const MEASURE_WARMUP_MAX_CELLS: usize = 1 << 20;
 
+/// A tier-decision key: program fingerprint and whether the job steps.
+type TierKey = (u64, bool);
+
+/// An Auto key whose first sight deferred its measurement until the
+/// native module is built.
+#[derive(Debug)]
+enum Deferred {
+    /// Waiting for the module. Holds the first-sight job (tier pin,
+    /// cancellation and fault stripped) so [`ServeExecutor::settle`] can
+    /// measure the key even if no later job arrives.
+    Waiting(JobSpec),
+    /// A job is measuring the key's tiers right now.
+    Measuring,
+}
+
+/// First-sight state shared with the background module builder.
+#[derive(Debug, Default)]
+struct FirstSight {
+    keys: BTreeMap<TierKey, Deferred>,
+    /// Programs whose native module is still to be built, in first-sight
+    /// order.
+    queue: VecDeque<Arc<CompiledProgram>>,
+    /// Fingerprints whose build finished (loaded or failed) and that a
+    /// deferred key still refers to.
+    landed: BTreeSet<u64>,
+}
+
 /// The multi-tenant batch executor. See the module docs for the
 /// scheduling, pooling, and tier-selection contracts.
 #[derive(Debug)]
@@ -406,7 +442,10 @@ pub struct ServeExecutor {
     policy: TierPolicy,
     /// Winning tier per (fingerprint, stepped?) key, with the program name
     /// for reporting.
-    tiers: Mutex<BTreeMap<(u64, bool), (Tier, String)>>,
+    tiers: Mutex<BTreeMap<TierKey, (Tier, String)>>,
+    first_sight: Arc<Mutex<FirstSight>>,
+    /// The one background thread building queued native modules.
+    builder: Mutex<Option<JoinHandle<()>>>,
     jobs: AtomicUsize,
     measurements: AtomicUsize,
     steals: AtomicUsize,
@@ -493,6 +532,8 @@ impl ServeExecutor {
             workers: config.workers.max(1),
             policy: config.policy,
             tiers: Mutex::new(BTreeMap::new()),
+            first_sight: Arc::new(Mutex::new(FirstSight::default())),
+            builder: Mutex::new(None),
             jobs: AtomicUsize::new(0),
             measurements: AtomicUsize::new(0),
             steals: AtomicUsize::new(0),
@@ -702,6 +743,7 @@ impl ServeExecutor {
         if jobs.is_empty() {
             return;
         }
+        self.start_builder();
         let started = Instant::now();
         let count = jobs.len();
         let shared = BatchShared {
@@ -900,16 +942,168 @@ impl ServeExecutor {
                     .expect("tier cache poisoned")
                     .get(&key)
                     .map(|&(tier, _)| tier);
-                match cached {
-                    Some(tier) => (self.run_tier(shared, &compiled, job, tier), tier),
-                    None => self.measure_and_pick(shared, &compiled, job, key),
+                if let Some(tier) = cached {
+                    return (self.run_tier(shared, &compiled, job, tier), tier);
                 }
+                if !(fused_eligible(&compiled, job.steps) && compiled.jit_supported()) {
+                    return self.measure_and_pick(shared, &compiled, job, key);
+                }
+                if !self.claim_measurement(&compiled, job, key) {
+                    return (
+                        self.run_tier(shared, &compiled, job, Tier::Simd),
+                        Tier::Simd,
+                    );
+                }
+                let picked = catch_unwind(AssertUnwindSafe(|| {
+                    self.measure_and_pick(shared, &compiled, job, key)
+                }));
+                // Even a panicking measurement releases the key, so a later
+                // job can measure it again.
+                self.finish_deferred(key);
+                picked.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             }
         }
     }
 
-    /// First sight of a fingerprint under [`TierPolicy::Auto`]: run every
-    /// eligible tier once (with a warmup pass for small jobs so
+    /// Decide whether a job of an undecided Auto key whose eligible set
+    /// includes the JIT measures the key (`true`) or runs on SIMD. First
+    /// sight queues the native-module build and runs on SIMD; jobs keep
+    /// running on SIMD until the module lands, and the first job after
+    /// that measures the key (exactly once).
+    fn claim_measurement(
+        &self,
+        compiled: &Arc<CompiledProgram>,
+        job: &JobSpec,
+        key: TierKey,
+    ) -> bool {
+        let mut state = self.first_sight.lock().expect("first-sight state poisoned");
+        let landed = state.landed.contains(&key.0);
+        match state.keys.get_mut(&key) {
+            None => {
+                let retained = JobSpec {
+                    tier: None,
+                    tenant: None,
+                    cancel: None,
+                    fault: None,
+                    ..job.clone()
+                };
+                state.keys.insert(key, Deferred::Waiting(retained));
+                let queued = state.queue.iter().any(|c| c.fingerprint() == key.0);
+                if !landed && !queued {
+                    state.queue.push_back(Arc::clone(compiled));
+                }
+                false
+            }
+            Some(deferred @ Deferred::Waiting(_)) if landed => {
+                *deferred = Deferred::Measuring;
+                true
+            }
+            Some(_) => false,
+        }
+    }
+
+    /// Forget a deferred key once its measurement ran (a failed
+    /// measurement makes the next job a first sight again).
+    fn finish_deferred(&self, key: TierKey) {
+        let mut state = self.first_sight.lock().expect("first-sight state poisoned");
+        state.keys.remove(&key);
+        if !state.keys.keys().any(|k| k.0 == key.0) {
+            state.landed.remove(&key.0);
+        }
+    }
+
+    /// Start the background builder if modules are queued and it is not
+    /// running. Called at the start of every batch, so a build queued by
+    /// a batch's first sight never competes with that batch.
+    fn start_builder(&self) {
+        let mut slot = self.builder.lock().expect("builder slot poisoned");
+        if slot.as_ref().is_some_and(|handle| !handle.is_finished()) {
+            return;
+        }
+        if self
+            .first_sight
+            .lock()
+            .expect("first-sight state poisoned")
+            .queue
+            .is_empty()
+        {
+            return;
+        }
+        if let Some(done) = slot.take() {
+            let _ = done.join();
+        }
+        let state = Arc::clone(&self.first_sight);
+        *slot = Some(std::thread::spawn(move || build_modules(&state)));
+    }
+
+    /// Finish the deferred first sights: wait for every queued native
+    /// module, then measure each key still waiting on its retained
+    /// first-sight job. Afterwards every Auto key seen so far has a
+    /// decision (unless its measurement failed), no `cc` is running, and
+    /// [`export_tier_decisions`](ServeExecutor::export_tier_decisions) is
+    /// complete. Measurement runs are not counted as jobs.
+    pub fn settle(&self) {
+        loop {
+            let builder = self.builder.lock().expect("builder slot poisoned").take();
+            if let Some(handle) = builder {
+                let _ = handle.join();
+            }
+            if self
+                .first_sight
+                .lock()
+                .expect("first-sight state poisoned")
+                .queue
+                .is_empty()
+            {
+                break;
+            }
+            self.start_builder();
+        }
+        let waiting: Vec<(TierKey, JobSpec)> = {
+            let mut state = self.first_sight.lock().expect("first-sight state poisoned");
+            state
+                .keys
+                .iter_mut()
+                .filter_map(|(&key, deferred)| {
+                    match std::mem::replace(deferred, Deferred::Measuring) {
+                        Deferred::Waiting(job) => Some((key, job)),
+                        Deferred::Measuring => None,
+                    }
+                })
+                .collect()
+        };
+        let sink = |_: JobOutcome| {};
+        let shared = BatchShared {
+            queue: Mutex::new(VecDeque::new()),
+            sweeps: Mutex::new(Vec::new()),
+            idle: Mutex::new(()),
+            wake: Condvar::new(),
+            sink: &sink,
+            remaining: AtomicUsize::new(0),
+        };
+        for (key, job) in waiting {
+            let decided = self
+                .tiers
+                .lock()
+                .expect("tier cache poisoned")
+                .contains_key(&key);
+            if decided {
+                // Imported after first sight: never override a decision.
+                self.finish_deferred(key);
+                continue;
+            }
+            if let Ok(compiled) = self.executor.prepare(&job.program) {
+                if let (Ok(result), _) = self.measure_and_pick(&shared, &compiled, &job, key) {
+                    self.recycle(result);
+                }
+            }
+            self.finish_deferred(key);
+        }
+    }
+
+    /// Measure an undecided key under [`TierPolicy::Auto`] (on first
+    /// sight, or once a deferred key's native module has landed): run
+    /// every eligible tier once (with a warmup pass for small jobs so
     /// first-touch pool misses don't bias the timing), cache the fastest,
     /// and return its result — all tiers are bit-identical, so the
     /// measurement doubles as the job itself.
@@ -918,7 +1112,7 @@ impl ServeExecutor {
         shared: &BatchShared<'_>,
         compiled: &Arc<CompiledProgram>,
         job: &JobSpec,
-        key: (u64, bool),
+        key: TierKey,
     ) -> (JobResult, Tier) {
         let candidates = eligible_tiers(compiled, job.steps);
         if candidates.len() == 1 {
@@ -931,9 +1125,10 @@ impl ServeExecutor {
         let mut best: Option<(Duration, Tier, ExecutionResult)> = None;
         for &tier in &candidates {
             if tier == Tier::Jit && crate::jit::stage_fns(compiled).is_err() {
-                // Build (or fetch) the module outside the timed run, so the
-                // measurement compares sweeps rather than a sweep plus `cc`.
-                // A build error excludes the tier, like any failed run.
+                // The background builder already loaded the module, so
+                // this fetches it outside the timed run and the
+                // measurement compares sweeps. A build error excludes the
+                // tier, like any failed run.
                 continue;
             }
             if warm {
@@ -973,7 +1168,7 @@ impl ServeExecutor {
         (Ok(result), tier)
     }
 
-    fn record_tier(&self, key: (u64, bool), tier: Tier, program: &str) {
+    fn record_tier(&self, key: TierKey, tier: Tier, program: &str) {
         let mut tiers = self.tiers.lock().expect("tier cache poisoned");
         if tiers.len() >= TIER_CACHE_CAPACITY {
             tiers.clear();
@@ -1294,17 +1489,54 @@ impl ServeExecutor {
     }
 }
 
-/// The tiers eligible for a job: SIMD always; fused when the plan (and,
-/// for stepped jobs, the feedback pairing) supports it; JIT additionally
-/// when the emitted unit exists and a compiler is reachable.
-fn eligible_tiers(compiled: &CompiledProgram, steps: usize) -> Vec<Tier> {
-    let mut tiers = vec![Tier::Simd];
-    let fused_ok = if steps > 1 {
+impl Drop for ServeExecutor {
+    /// Wait for a running module build, so no `cc` outlives the executor.
+    fn drop(&mut self) {
+        let builder = self.builder.get_mut().ok().and_then(Option::take);
+        if let Some(handle) = builder {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The background builder: build (or fetch from the disk cache) every
+/// queued native module, marking each landed. A failed build lands too;
+/// the key's measurement then excludes the JIT tier.
+fn build_modules(state: &Mutex<FirstSight>) {
+    loop {
+        let next = state
+            .lock()
+            .expect("first-sight state poisoned")
+            .queue
+            .pop_front();
+        let Some(compiled) = next else {
+            return;
+        };
+        let _ = catch_unwind(AssertUnwindSafe(|| crate::jit::stage_fns(&compiled)));
+        state
+            .lock()
+            .expect("first-sight state poisoned")
+            .landed
+            .insert(compiled.fingerprint());
+    }
+}
+
+/// Whether the fused tier can run a job: the plan (and, for stepped jobs,
+/// the feedback pairing) supports it.
+fn fused_eligible(compiled: &CompiledProgram, steps: usize) -> bool {
+    if steps > 1 {
         compiled.fused_steps_supported()
     } else {
         compiled.fused_tier_supported()
-    };
-    if fused_ok {
+    }
+}
+
+/// The tiers eligible for a job: SIMD always; fused when
+/// [`fused_eligible`]; JIT additionally when the emitted unit exists and
+/// a compiler is reachable.
+fn eligible_tiers(compiled: &CompiledProgram, steps: usize) -> Vec<Tier> {
+    let mut tiers = vec![Tier::Simd];
+    if fused_eligible(compiled, steps) {
         tiers.push(Tier::Fused);
         if compiled.jit_supported() && crate::jit::jit_available().is_ok() {
             tiers.push(Tier::Jit);
@@ -1454,6 +1686,9 @@ mod tests {
             let outcome = serve.run_one(job_for(&program, seed));
             serve.recycle(outcome.result.unwrap());
         }
+        // The program is JIT-eligible, so its measurement waits for the
+        // background module build; settling finishes it.
+        serve.settle();
         let stats = serve.stats();
         assert_eq!(stats.tier_measurements, 1);
         assert_eq!(stats.compiles, 1);

@@ -251,14 +251,34 @@ fn fused_steps_match_materializing_steps() {
 }
 
 #[test]
-fn ineligible_programs_fall_back_bit_identically() {
-    // Listing 1 combines a lower-dimensional input with copy boundaries;
-    // both keep it on the materializing path.
-    let listing = listing1_with_shape(&[6, 7, 5]);
+fn lower_dimensional_inputs_are_fused() {
+    // Listing 1's `a2[i,k]` and horizontal diffusion's 1-D `[j]`
+    // coefficients broadcast into full-rank scratch tiles (Listing 1's
+    // copy boundary only guards center accesses, which never leave the
+    // domain).
     let executor = ReferenceExecutor::new();
+    let listing = listing1_with_shape(&[6, 7, 5]);
     let compiled = executor.prepare(&listing).unwrap();
-    assert!(!compiled.fused_tier_supported());
+    assert!(
+        compiled.fused_tier_supported(),
+        "{:?}",
+        compiled.fused_fallback_reason()
+    );
     assert_fused_bit_identical(&listing, 71);
+
+    let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
+    let compiled = executor.prepare(&hd).unwrap();
+    assert!(
+        compiled.fused_tier_supported(),
+        "{:?}",
+        compiled.fused_fallback_reason()
+    );
+    assert_fused_bit_identical(&hd, 72);
+}
+
+#[test]
+fn ineligible_programs_fall_back_bit_identically() {
+    let executor = ReferenceExecutor::new();
 
     // Copy boundaries cannot be expressed as position-indexed pads.
     let copy = StencilProgramBuilder::new("copyb", &[6, 8])
@@ -275,13 +295,6 @@ fn ineligible_programs_fall_back_bit_identically() {
         .unwrap()
         .contains("copy boundary"));
     assert_fused_bit_identical(&copy, 74);
-
-    // Lower-dimensional parameter fields keep horizontal diffusion on the
-    // materializing path (for now).
-    let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
-    let compiled = executor.prepare(&hd).unwrap();
-    assert!(!compiled.fused_tier_supported());
-    assert_fused_bit_identical(&hd, 72);
 
     // Consumers disagreeing on a field's boundary constant.
     let conflict = StencilProgramBuilder::new("conflict", &[6, 8])

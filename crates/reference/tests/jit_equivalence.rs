@@ -270,27 +270,26 @@ fn jit_steps_match_materializing_steps() {
 }
 
 #[test]
-fn ineligible_programs_fall_back_bit_identically() {
-    let executor = ReferenceExecutor::new();
-
-    // Fusion-ineligible programs fall all the way to the materializing
-    // path, and the JIT fallback reason names the fused tier's reason.
+fn lower_dimensional_inputs_run_natively() {
+    // Listing 1's `a2[i,k]` and horizontal diffusion's 1-D `[j]`
+    // coefficients broadcast into the fused scratch tiles the native
+    // sweeps read, so both programs are Tier-4 eligible.
     let listing = listing1_with_shape(&[6, 7, 5]);
-    let compiled = executor.prepare(&listing).unwrap();
-    assert!(!compiled.jit_supported());
-    assert!(compiled
-        .jit_fallback_reason()
-        .unwrap()
-        .contains("fused tier unavailable"));
-    assert!(compiled.jit_source().is_none());
+    assert_eligible(&listing);
     assert_jit_bit_identical(&listing, 71);
 
     let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
-    let compiled = executor.prepare(&hd).unwrap();
-    assert!(!compiled.jit_supported());
+    assert_eligible(&hd);
     assert_jit_bit_identical(&hd, 72);
+}
 
-    // Copy boundaries: fused-ineligible, same ladder.
+#[test]
+fn ineligible_programs_fall_back_bit_identically() {
+    let executor = ReferenceExecutor::new();
+
+    // Fusion-ineligible programs (copy boundaries) fall all the way to
+    // the materializing path, and the JIT fallback reason names the fused
+    // tier's reason.
     let copy = StencilProgramBuilder::new("copyb", &[6, 8])
         .input("a", DataType::Float32, &["i", "j"])
         .stencil("s", "a[i-1,j] + a[i+1,j]")
@@ -300,6 +299,11 @@ fn ineligible_programs_fall_back_bit_identically() {
         .unwrap();
     let compiled = executor.prepare(&copy).unwrap();
     assert!(!compiled.jit_supported());
+    assert!(compiled
+        .jit_fallback_reason()
+        .unwrap()
+        .contains("fused tier unavailable"));
+    assert!(compiled.jit_source().is_none());
     assert_jit_bit_identical(&copy, 74);
 
     // The middle rung of the ladder: *fused*-supported, but the int32

@@ -526,6 +526,9 @@ fn restart_reuses_exported_tier_decisions_with_zero_remeasurements() {
         .run_one(job(&step, &step_inputs).with_steps(4))
         .result
         .expect("first stepped run clean");
+    // Like a draining daemon: finish the deferred first sights so the
+    // export covers both programs.
+    first.settle();
     assert!(first.stats().tier_measurements > 0 || first.tier_choices().len() == 2);
     let exported = first.export_tier_decisions();
 

@@ -37,6 +37,11 @@
 //! imported before the first request (decisions from a different build
 //! salt are discarded as stale) and the live decisions are exported back
 //! on exit — a restarted daemon re-measures nothing it already knows.
+//! Every drain (the `drain` op and end of input) first settles the
+//! executor ([`stencilflow_reference::ServeExecutor::settle`]): native
+//! modules still building in the background finish, and the programs
+//! waiting on them get their tier measured, so the exported decisions
+//! cover every program the daemon saw.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -557,8 +562,8 @@ fn dispatch_round(
     (settled, lines)
 }
 
-/// Drain the daemon, then write every settled outcome (sorted by id)
-/// and the drain report.
+/// Drain the daemon, settle its deferred tier decisions, then write
+/// every settled outcome (sorted by id) and the drain report.
 fn drain_now<W: Write>(
     daemon: &Daemon,
     outs: &Mutex<BTreeMap<String, PathBuf>>,
@@ -569,6 +574,10 @@ fn drain_now<W: Write>(
         let line = outcome_json(daemon, outs, outcome);
         collected.lock().expect("outcome sink poisoned").push(line);
     });
+    // Builds queued by first sights finish here and their keys get
+    // measured, so the exported tier cache is complete and no `cc`
+    // outlives the loop.
+    daemon.serve().settle();
     let mut lines = collected.into_inner().expect("outcome sink poisoned");
     lines.sort_by(|a, b| a.0.cmp(&b.0));
     for (_, json) in lines {
