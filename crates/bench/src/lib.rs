@@ -641,9 +641,8 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
         ),
     ];
     // Separate executors pin the kernel tier; each caches its compilation
-    // across the repeated measurement runs. Tier measurement is bypassed
-    // so the fused row measures the fused tier, not the router's pick.
-    let simd_executor = ReferenceExecutor::new().with_tier_measurement(false);
+    // across the repeated measurement runs.
+    let simd_executor = ReferenceExecutor::new();
     let typed_executor = ReferenceExecutor::new().with_lane_batching(false);
     let value_executor = ReferenceExecutor::new().with_typed_kernels(false);
     let mut rows: Vec<ThroughputRow> = workloads
@@ -810,7 +809,7 @@ pub fn sharded_throughput(quick: bool) -> ShardedThroughput {
     let program = jacobi3d(1, &jacobi_shape, 1);
     let inputs = generate_inputs(&program, 17);
     let cells = program.space().num_cells() * steps;
-    let executor = ReferenceExecutor::new().with_tier_measurement(false);
+    let executor = ReferenceExecutor::new();
     let fused = measure_cells_per_s(cells, || {
         let result = executor.run_steps_fused(&program, &inputs, steps).unwrap();
         std::hint::black_box(&result);
@@ -1780,9 +1779,7 @@ mod tests {
         use stencilflow_reference::{generate_inputs, ReferenceExecutor};
         let chain = chain_program(&ChainSpec::new(8, 8).with_shape(&[192, 32, 32]));
         let inputs = generate_inputs(&chain, 17);
-        let executor = ReferenceExecutor::new()
-            .with_max_threads(1)
-            .with_tier_measurement(false);
+        let executor = ReferenceExecutor::new().with_max_threads(1);
         let compiled = executor.prepare(&chain).unwrap();
         assert!(
             compiled.fused_tier_supported(),
@@ -1813,9 +1810,7 @@ mod tests {
         use stencilflow_reference::{generate_inputs, ReferenceExecutor};
         let program = jacobi3d(1, &[64, 64, 64], 1);
         let inputs = generate_inputs(&program, 17);
-        let executor = ReferenceExecutor::new()
-            .with_max_threads(1)
-            .with_tier_measurement(false);
+        let executor = ReferenceExecutor::new().with_max_threads(1);
         assert!(executor.prepare(&program).unwrap().fused_steps_supported());
         let speedup = median_paired_speedup(
             std::time::Duration::from_millis(1500),

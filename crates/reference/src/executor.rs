@@ -394,6 +394,13 @@ impl CompiledProgram {
 /// compiled programs across calls so repeated runs never recompile;
 /// [`ReferenceExecutor::run_interpreted`] walks the expression tree per
 /// cell and serves as the semantic baseline.
+///
+/// [`ReferenceExecutor::run_fused`] and [`ReferenceExecutor::run_jit`]
+/// (and their stepped variants) run the tier they name, stepping down the
+/// [`Tier`] fallback ladder jit → fused → materializing only when a
+/// program or host cannot use it. The executor never measures or picks a
+/// tier; automatic tier selection belongs to the service layer
+/// ([`crate::ServeExecutor`]).
 #[derive(Debug)]
 pub struct ReferenceExecutor {
     /// Worker-thread cap for the compiled sweep; `None` picks the available
@@ -429,29 +436,56 @@ pub struct ReferenceExecutor {
     /// never return their results, so pooling them would only drain the
     /// pool. The service tier turns this on and recycles results.
     pool_results: bool,
-    /// Whether the convenience `run_fused`/`run_steps_fused` entry points
-    /// measure the eligible execution paths on first sight of a program
-    /// (mirroring the service layer's tier selection) instead of trusting
-    /// the caller's tier choice.
-    measure_tiers: bool,
-    /// Measured winner per `(fingerprint, stepped?)` for the convenience
-    /// entry points.
-    auto_tiers: Mutex<BTreeMap<(u64, bool), AutoTier>>,
-    /// First-sight measurements performed by the convenience entry points.
-    auto_measurements: AtomicUsize,
 }
 
-/// The execution paths the convenience `run_fused` entry points choose
-/// between (the in-process analogue of the service layer's `Tier`: the
-/// materializing compiled sweep stands in for the banded SIMD tier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AutoTier {
-    /// Materializing compiled sweep, restricted to program outputs.
-    Materializing,
-    /// The tile-fused tier.
+/// The execution tiers a compiled program runs on, and the rungs of the
+/// fallback ladder jit → fused → materializing: a program a tier cannot
+/// express runs on the next rung down, bit-identically. The executor's
+/// fused and JIT entry points start the ladder at their tier; the service
+/// layer ([`crate::ServeExecutor`]) measures the eligible tiers and picks
+/// one per program (the interpreter and the plain bytecode tiers exist
+/// for reference/testing, not for serving).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// The lane-batched compiled sweep (per-stencil materialization). The
+    /// executor restricts its result to the program outputs; the service
+    /// runs it through its banded, stealable path.
+    Simd,
+    /// The tile-fused tier (pooled scratch, temporal blocking).
     Fused,
-    /// The Tier-4 native backend.
+    /// The Tier-4 native backend (fused schedule, `cc`-compiled sweeps).
     Jit,
+}
+
+impl Tier {
+    /// Stable lowercase name (CLI / JSON rendering).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Tier::Simd => "simd",
+            Tier::Fused => "fused",
+            Tier::Jit => "jit",
+        }
+    }
+}
+
+impl std::fmt::Display for Tier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for Tier {
+    type Err = String;
+    fn from_str(s: &str) -> std::result::Result<Tier, String> {
+        match s {
+            "simd" => Ok(Tier::Simd),
+            "fused" => Ok(Tier::Fused),
+            "jit" => Ok(Tier::Jit),
+            other => Err(format!(
+                "unknown tier `{other}` (expected `simd`, `fused`, or `jit`)"
+            )),
+        }
+    }
 }
 
 impl Default for ReferenceExecutor {
@@ -468,9 +502,6 @@ impl Default for ReferenceExecutor {
             pool: Mutex::new(BufferPool::default()),
             mask_pool: Mutex::new(MaskPool::default()),
             pool_results: false,
-            measure_tiers: true,
-            auto_tiers: Mutex::new(BTreeMap::new()),
-            auto_measurements: AtomicUsize::new(0),
         }
     }
 }
@@ -495,14 +526,6 @@ impl Clone for ReferenceExecutor {
                 self.mask_pool.lock().expect("mask pool poisoned").capacity,
             )),
             pool_results: self.pool_results,
-            measure_tiers: self.measure_tiers,
-            auto_tiers: Mutex::new(
-                self.auto_tiers
-                    .lock()
-                    .expect("auto tier cache poisoned")
-                    .clone(),
-            ),
-            auto_measurements: AtomicUsize::new(self.auto_measurements.load(Ordering::Relaxed)),
         }
     }
 }
@@ -516,11 +539,6 @@ pub(crate) const PARALLEL_THRESHOLD_CELL_ACCESSES: usize = 1 << 18;
 /// Compiled-program cache entries kept per executor before the cache is
 /// reset (a safety valve for program-generating loops, not a tuned policy).
 const COMPILED_CACHE_CAPACITY: usize = 64;
-
-/// Programs at or below this many cell·steps get a warmup pass before
-/// each timed path measurement in the convenience tier router (mirrors
-/// the service layer's `MEASURE_WARMUP_MAX_CELLS`).
-const AUTO_MEASURE_WARMUP_MAX_CELLS: usize = 1 << 20;
 
 /// Buffers kept in the fused tier's pool before further releases are
 /// dropped (a safety valve, not a tuned policy: one fused `run_steps`
@@ -732,21 +750,13 @@ impl ReferenceExecutor {
         self
     }
 
-    /// Enable or disable first-sight tier measurement in the convenience
-    /// [`ReferenceExecutor::run_fused`] / `run_steps_fused` entry points
-    /// (enabled by default). Disabling pins those calls to the fused tier
-    /// (with its usual materializing fallback) — the bypass the bench
-    /// harness uses so per-tier rows measure the tier they claim to.
-    pub fn with_tier_measurement(mut self, enabled: bool) -> Self {
-        self.measure_tiers = enabled;
+    /// A no-op, kept only because the standalone benchmark harness under
+    /// `perfbench/` still calls it. The executor does not measure tiers:
+    /// `run_fused` runs the fused tier, and automatic tier selection lives
+    /// in [`crate::ServeExecutor`].
+    #[doc(hidden)]
+    pub fn with_tier_measurement(self, _enabled: bool) -> Self {
         self
-    }
-
-    /// First-sight tier measurements performed by the convenience
-    /// `run_fused` entry points (each covers one `(program fingerprint,
-    /// stepped?)` key; repeat traffic hits the cached decision).
-    pub fn tier_measure_count(&self) -> usize {
-        self.auto_measurements.load(Ordering::Relaxed)
     }
 
     /// Number of program compilations this executor has performed. Cache
@@ -1155,21 +1165,13 @@ impl ReferenceExecutor {
     /// # Errors
     ///
     /// Same failure modes as [`ReferenceExecutor::run`].
-    /// Unless [`ReferenceExecutor::with_tier_measurement`] is disabled,
-    /// first sight of a program here measures the eligible execution paths
-    /// (materializing sweep, fused, native JIT — all bit-identical) and
-    /// caches the winner, exactly like the service layer's automatic tier
-    /// selection; repeated calls run the cached fastest path.
     pub fn run_fused(
         &self,
         program: &StencilProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<ExecutionResult> {
         let compiled = self.prepare(program)?;
-        if !self.measure_tiers {
-            return self.run_fused_compiled(&compiled, inputs);
-        }
-        self.run_measured(&compiled, inputs, 1, false)
+        self.run_fused_compiled(&compiled, inputs)
     }
 
     /// [`ReferenceExecutor::run_fused`] over an already-compiled program.
@@ -1182,15 +1184,7 @@ impl ReferenceExecutor {
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<ExecutionResult> {
-        Self::check_inputs(compiled, inputs)?;
-        match &compiled.fuse {
-            Ok(plan) => crate::fuse::execute(self, compiled, plan, inputs, 1),
-            Err(_) => {
-                let mut result = self.run_compiled(compiled, inputs)?;
-                result.retain_fields(&compiled.outputs);
-                Ok(result)
-            }
-        }
+        self.run_ladder(compiled, inputs, None, Tier::Fused)
     }
 
     /// Time-step `program` through the fused tier: tiles stream through a
@@ -1207,9 +1201,6 @@ impl ReferenceExecutor {
     /// # Errors
     ///
     /// Same failure modes as [`ReferenceExecutor::run_steps`].
-    /// Like [`ReferenceExecutor::run_fused`], first sight of a program
-    /// here measures the eligible paths and caches the winner unless
-    /// [`ReferenceExecutor::with_tier_measurement`] is disabled.
     pub fn run_steps_fused(
         &self,
         program: &StencilProgram,
@@ -1217,132 +1208,7 @@ impl ReferenceExecutor {
         steps: usize,
     ) -> Result<ExecutionResult> {
         let compiled = self.prepare(program)?;
-        if !self.measure_tiers || steps == 0 {
-            return self.run_steps_fused_compiled(&compiled, inputs, steps);
-        }
-        self.run_measured(&compiled, inputs, steps, true)
-    }
-
-    /// The convenience entry points' tier router: consult the measured
-    /// decision for `(fingerprint, stepped?)`, measuring the eligible
-    /// paths on first sight (with a warmup pass for small programs so
-    /// first-touch allocation doesn't bias the pick). The materializing
-    /// sweep is the floor — its failure is the call's failure; a fused or
-    /// JIT error during measurement merely excludes that path.
-    fn run_measured(
-        &self,
-        compiled: &Arc<CompiledProgram>,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-        stepped: bool,
-    ) -> Result<ExecutionResult> {
-        let key = (compiled.fingerprint(), stepped);
-        let cached = self
-            .auto_tiers
-            .lock()
-            .expect("auto tier cache poisoned")
-            .get(&key)
-            .copied();
-        if let Some(tier) = cached {
-            return self.run_auto_tier(compiled, inputs, steps, stepped, tier);
-        }
-        let mut candidates = vec![AutoTier::Materializing];
-        let fused_ok = if stepped {
-            compiled.fused_steps_supported()
-        } else {
-            compiled.fused_tier_supported()
-        };
-        if fused_ok {
-            candidates.push(AutoTier::Fused);
-            if compiled.jit_supported() && crate::jit::jit_available().is_ok() {
-                candidates.push(AutoTier::Jit);
-            }
-        }
-        if candidates.len() == 1 {
-            self.record_auto_tier(key, AutoTier::Materializing);
-            return self.run_auto_tier(compiled, inputs, steps, stepped, AutoTier::Materializing);
-        }
-        let warm =
-            compiled.cell_count().saturating_mul(steps.max(1)) <= AUTO_MEASURE_WARMUP_MAX_CELLS;
-        let mut best: Option<(std::time::Duration, AutoTier, ExecutionResult)> = None;
-        for &tier in &candidates {
-            if tier == AutoTier::Jit && crate::jit::stage_fns(compiled).is_err() {
-                // Build (or fetch) the module outside the timed run, so the
-                // measurement compares sweeps rather than a sweep plus `cc`.
-                // A build error excludes the tier, like any failed run.
-                continue;
-            }
-            if warm {
-                // Warmup errors surface in the timed run below.
-                let _ = self.run_auto_tier(compiled, inputs, steps, stepped, tier);
-            }
-            let t0 = std::time::Instant::now();
-            match self.run_auto_tier(compiled, inputs, steps, stepped, tier) {
-                Ok(result) => {
-                    let elapsed = t0.elapsed();
-                    let improves = match &best {
-                        Some((b, _, _)) => elapsed < *b,
-                        None => true,
-                    };
-                    if improves {
-                        best = Some((elapsed, tier, result));
-                    }
-                }
-                Err(err) => {
-                    if tier == AutoTier::Materializing {
-                        return Err(err);
-                    }
-                }
-            }
-        }
-        let (_, tier, result) =
-            best.expect("the materializing path always measured or errored above");
-        self.record_auto_tier(key, tier);
-        self.auto_measurements.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
-    }
-
-    fn record_auto_tier(&self, key: (u64, bool), tier: AutoTier) {
-        let mut tiers = self.auto_tiers.lock().expect("auto tier cache poisoned");
-        if tiers.len() >= COMPILED_CACHE_CAPACITY {
-            tiers.clear();
-        }
-        tiers.insert(key, tier);
-    }
-
-    fn run_auto_tier(
-        &self,
-        compiled: &Arc<CompiledProgram>,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-        stepped: bool,
-        tier: AutoTier,
-    ) -> Result<ExecutionResult> {
-        match tier {
-            AutoTier::Materializing => {
-                let mut result = if stepped {
-                    self.run_steps_compiled(compiled, inputs, steps)?
-                } else {
-                    self.run_compiled(compiled, inputs)?
-                };
-                result.retain_fields(&compiled.outputs);
-                Ok(result)
-            }
-            AutoTier::Fused => {
-                if stepped {
-                    self.run_steps_fused_compiled(compiled, inputs, steps)
-                } else {
-                    self.run_fused_compiled(compiled, inputs)
-                }
-            }
-            AutoTier::Jit => {
-                if stepped {
-                    self.run_steps_jit_compiled(compiled, inputs, steps)
-                } else {
-                    self.run_jit_compiled(compiled, inputs)
-                }
-            }
-        }
+        self.run_steps_fused_compiled(&compiled, inputs, steps)
     }
 
     /// [`ReferenceExecutor::run_steps_fused`] over an already-compiled
@@ -1357,26 +1223,7 @@ impl ReferenceExecutor {
         inputs: &BTreeMap<String, Grid>,
         steps: usize,
     ) -> Result<ExecutionResult> {
-        if steps == 0 {
-            return Err(ProgramError::Invalid {
-                message: "run_steps requires at least one time step".into(),
-            });
-        }
-        Self::check_inputs(compiled, inputs)?;
-        match &compiled.fuse {
-            Ok(plan) if steps == 1 || plan.supports_steps() => {
-                // Validate the pairing exactly like the materializing
-                // stepper — even for a single step (dtype mismatches and
-                // ambiguity are rejected, never silently fused).
-                compiled.feedback_pairs()?;
-                crate::fuse::execute(self, compiled, plan, inputs, steps)
-            }
-            _ => {
-                let mut result = self.run_steps_compiled(compiled, inputs, steps)?;
-                result.retain_fields(&compiled.outputs);
-                Ok(result)
-            }
-        }
+        self.run_ladder(compiled, inputs, Some(steps), Tier::Fused)
     }
 
     /// Run `program` through the **Tier-4 native backend**: the fused
@@ -1418,23 +1265,7 @@ impl ReferenceExecutor {
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<ExecutionResult> {
-        Self::check_inputs(compiled, inputs)?;
-        match crate::jit::stage_fns(compiled) {
-            Ok(Some(fns)) => {
-                let plan = compiled
-                    .fuse
-                    .as_ref()
-                    .expect("jit eligibility implies a fuse plan");
-                crate::fuse::execute_with(self, compiled, plan, inputs, 1, Some(&fns))
-            }
-            Ok(None) => self.run_fused_compiled(compiled, inputs),
-            Err(message) => Err(ProgramError::Invalid {
-                message: format!(
-                    "native JIT failed for eligible program `{}`: {message}",
-                    compiled.name
-                ),
-            }),
-        }
+        self.run_ladder(compiled, inputs, None, Tier::Jit)
     }
 
     /// Time-step `program` through the Tier-4 native backend: the fused
@@ -1469,30 +1300,59 @@ impl ReferenceExecutor {
         inputs: &BTreeMap<String, Grid>,
         steps: usize,
     ) -> Result<ExecutionResult> {
-        if steps == 0 {
+        self.run_ladder(compiled, inputs, Some(steps), Tier::Jit)
+    }
+
+    /// The fallback ladder behind every tier entry point: run `compiled`
+    /// on `tier`, stepping down jit → fused → materializing while the
+    /// program (or the host, for the JIT) cannot use the rung. The result
+    /// holds the program outputs only, bit-identical on every rung.
+    ///
+    /// `steps == None` is a single application, which needs no feedback
+    /// pairing; `Some(n)` time-steps `n` times and validates the pairing
+    /// like [`ReferenceExecutor::run_steps`] — even when `n == 1`, so
+    /// dtype mismatches and ambiguity are rejected, never silently fused.
+    /// An *eligible* program whose native module fails to build is an
+    /// error, never a silent fallback.
+    pub(crate) fn run_ladder(
+        &self,
+        compiled: &CompiledProgram,
+        inputs: &BTreeMap<String, Grid>,
+        steps: Option<usize>,
+        tier: Tier,
+    ) -> Result<ExecutionResult> {
+        if steps == Some(0) {
             return Err(ProgramError::Invalid {
                 message: "run_steps requires at least one time step".into(),
             });
         }
         Self::check_inputs(compiled, inputs)?;
-        match &compiled.fuse {
-            Ok(plan) if steps == 1 || plan.supports_steps() => {
-                match crate::jit::stage_fns(compiled) {
-                    Ok(Some(fns)) => {
-                        compiled.feedback_pairs()?;
-                        crate::fuse::execute_with(self, compiled, plan, inputs, steps, Some(&fns))
-                    }
-                    Ok(None) => self.run_steps_fused_compiled(compiled, inputs, steps),
-                    Err(message) => Err(ProgramError::Invalid {
-                        message: format!(
-                            "native JIT failed for eligible program `{}`: {message}",
-                            compiled.name
-                        ),
-                    }),
+        let count = steps.unwrap_or(1);
+        if let (Tier::Fused | Tier::Jit, Ok(plan)) = (tier, &compiled.fuse) {
+            if count == 1 || plan.supports_steps() {
+                let fns = match tier {
+                    Tier::Jit => crate::jit::stage_fns(compiled).map_err(|message| {
+                        ProgramError::Invalid {
+                            message: format!(
+                                "native JIT failed for eligible program `{}`: {message}",
+                                compiled.name
+                            ),
+                        }
+                    })?,
+                    _ => None,
+                };
+                if steps.is_some() {
+                    compiled.feedback_pairs()?;
                 }
+                return crate::fuse::execute(self, compiled, plan, inputs, count, fns.as_deref());
             }
-            _ => self.run_steps_fused_compiled(compiled, inputs, steps),
         }
+        let mut result = match steps {
+            None => self.run_compiled(compiled, inputs)?,
+            Some(steps) => self.run_steps_compiled(compiled, inputs, steps)?,
+        };
+        result.retain_fields(&compiled.outputs);
+        Ok(result)
     }
 
     /// Apply `program` once through the fault-tolerant sharded runtime:

@@ -900,25 +900,14 @@ struct WorkerTargets<'a> {
 
 /// Execute `compiled` through the fused tier for `steps` time steps
 /// (`steps == 1` is a plain fused run; callers have already validated the
-/// inputs and, for `steps > 1`, that the plan supports stepping).
+/// inputs and, for `steps > 1`, that the plan supports stepping), with
+/// optional Tier-4 native stage functions: when `jit` provides a function
+/// for a stage, its sweeps run through the compiled `.so` instead of the
+/// bytecode lane interpreter — same tiles, same windows, same pads, same
+/// copies, so everything in the bit-identity argument above carries over
+/// except the innermost kernel evaluation, which the native unit
+/// replicates operation-for-operation (see [`FusePlan::jit_unit`]).
 pub(crate) fn execute(
-    executor: &ReferenceExecutor,
-    compiled: &CompiledProgram,
-    plan: &FusePlan,
-    inputs: &BTreeMap<String, Grid>,
-    steps: usize,
-) -> Result<ExecutionResult> {
-    execute_with(executor, compiled, plan, inputs, steps, None)
-}
-
-/// [`execute`] with optional Tier-4 native stage functions: when `jit`
-/// provides a function for a stage, its sweeps run through the compiled
-/// `.so` instead of the bytecode lane interpreter — same tiles, same
-/// windows, same pads, same copies, so everything in the bit-identity
-/// argument above carries over except the innermost kernel evaluation,
-/// which the native unit replicates operation-for-operation (see
-/// [`FusePlan::jit_unit`]).
-pub(crate) fn execute_with(
     executor: &ReferenceExecutor,
     compiled: &CompiledProgram,
     plan: &FusePlan,

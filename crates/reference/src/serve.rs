@@ -63,49 +63,7 @@ use stencilflow_program::{ProgramError, StencilProgram};
 
 pub mod daemon;
 
-/// Execution tiers the service schedules between (the interpreter and the
-/// plain bytecode tiers exist for reference/testing, not for serving).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
-    /// The lane-batched compiled sweep (per-stencil materialization), run
-    /// through the service's banded, stealable path.
-    Simd,
-    /// The tile-fused tier (pooled scratch, temporal blocking).
-    Fused,
-    /// The Tier-4 native backend (fused schedule, `cc`-compiled sweeps).
-    Jit,
-}
-
-impl Tier {
-    /// Stable lowercase name (CLI / JSON rendering).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Tier::Simd => "simd",
-            Tier::Fused => "fused",
-            Tier::Jit => "jit",
-        }
-    }
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Tier {
-    type Err = String;
-    fn from_str(s: &str) -> std::result::Result<Tier, String> {
-        match s {
-            "simd" => Ok(Tier::Simd),
-            "fused" => Ok(Tier::Fused),
-            "jit" => Ok(Tier::Jit),
-            other => Err(format!(
-                "unknown tier `{other}` (expected `simd`, `fused`, or `jit`)"
-            )),
-        }
-    }
-}
+pub use crate::executor::Tier;
 
 /// How the service picks the execution tier for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1206,21 +1164,10 @@ impl ServeExecutor {
                     if job.is_cancelled() {
                         return Err(JobError::Cancelled);
                     }
-                    let run = match (tier, job.steps <= 1) {
-                        (Tier::Fused, true) => {
-                            self.executor.run_fused_compiled(compiled, &job.inputs)
-                        }
-                        (Tier::Fused, false) => {
-                            self.executor
-                                .run_steps_fused_compiled(compiled, &job.inputs, job.steps)
-                        }
-                        (_, true) => self.executor.run_jit_compiled(compiled, &job.inputs),
-                        (_, false) => {
-                            self.executor
-                                .run_steps_jit_compiled(compiled, &job.inputs, job.steps)
-                        }
-                    };
-                    run.map_err(JobError::Program)
+                    let steps = (job.steps > 1).then_some(job.steps);
+                    self.executor
+                        .run_ladder(compiled, &job.inputs, steps, tier)
+                        .map_err(JobError::Program)
                 }));
                 match attempt {
                     Ok(result) => result,
@@ -1636,10 +1583,16 @@ mod tests {
         let jobs = || -> Vec<JobSpec> { (0..8).map(|seed| job_for(&program, seed)).collect() };
         // Warmup: tier measurement + pool population. Several batches, so
         // the pool has seen the peak concurrent demand of every worker
-        // interleaving before the steady window opens.
-        for _ in 0..3 {
+        // interleaving before the steady window opens. The program is
+        // JIT-eligible, so its measurement waits for the background module
+        // build; settling after the first batch finishes it here rather
+        // than inside the steady window.
+        for round in 0..3 {
             for outcome in serve.run_batch(jobs()) {
                 serve.recycle(outcome.result.unwrap());
+            }
+            if round == 0 {
+                serve.settle();
             }
         }
         let warm = serve.stats();

@@ -45,7 +45,7 @@
 //! and the supervisor **degrades** to the single-shard fused tier, which is
 //! bitwise identical by construction.
 
-use crate::executor::{CompiledProgram, ExecutionResult, ReferenceExecutor};
+use crate::executor::{CompiledProgram, ExecutionResult, ReferenceExecutor, Tier};
 use crate::grid::Grid;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1125,11 +1125,7 @@ pub(crate) fn run_sharded(
         report
             .fault_log
             .push(format!("degraded to the single-shard fused tier: {reason}"));
-        let result = if steps_mode {
-            exec.run_steps_fused_compiled(&global, inputs, steps)?
-        } else {
-            exec.run_fused_compiled(&global, inputs)?
-        };
+        let result = exec.run_ladder(&global, inputs, steps_mode.then_some(steps), Tier::Fused)?;
         report.elapsed = started.elapsed();
         return Ok(ShardedOutcome { result, report });
     }
@@ -1626,12 +1622,14 @@ fn worker_run(
         };
         shared.set_status(shard, WorkerStatus::Computing { window });
         let compute_started = Instant::now();
-        let result = if steps_mode {
-            worker_exec.run_steps_fused_compiled(&compiled, &work_inputs, window_steps)
-        } else {
-            worker_exec.run_fused_compiled(&compiled, &work_inputs)
-        }
-        .map_err(|e| format!("shard {shard} window {window}: {e}"))?;
+        let result = worker_exec
+            .run_ladder(
+                &compiled,
+                &work_inputs,
+                steps_mode.then_some(window_steps),
+                Tier::Fused,
+            )
+            .map_err(|e| format!("shard {shard} window {window}: {e}"))?;
         comms.stats.compute += compute_started.elapsed();
         comms.stats.cells_evaluated += result.cells_evaluated();
         steps_done += window_steps;

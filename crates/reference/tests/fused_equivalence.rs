@@ -53,9 +53,7 @@ fn assert_fused_bit_identical(program: &StencilProgram, seed: u64) {
     let materializing = plain.run(program, &inputs).unwrap();
     assert_outputs_match(program, "materializing", &materializing, &interpreted);
     for tile_rows in [0usize, 1, 2, 5] {
-        let executor = ReferenceExecutor::new()
-            .with_tier_measurement(false)
-            .with_fusion_tile_rows(tile_rows);
+        let executor = ReferenceExecutor::new().with_fusion_tile_rows(tile_rows);
         let fused = executor.run_fused(program, &inputs).unwrap();
         assert_outputs_match(
             program,
@@ -78,7 +76,6 @@ fn assert_fused_steps_bit_identical(program: &StencilProgram, seed: u64, steps: 
     for window in [1usize, 2, 3, steps.max(1)] {
         for tile_rows in [0usize, 1, 3] {
             let executor = ReferenceExecutor::new()
-                .with_tier_measurement(false)
                 .with_fusion_window(window)
                 .with_fusion_tile_rows(tile_rows);
             let fused = executor.run_steps_fused(program, &inputs, steps).unwrap();
@@ -214,7 +211,7 @@ fn fused_multi_output_and_dead_stage_elision() {
     // live stages (times dilation overlap, bounded by an extra stage's
     // worth here).
     let inputs = generate_inputs(&program, 51);
-    let executor = ReferenceExecutor::new().with_tier_measurement(false);
+    let executor = ReferenceExecutor::new();
     let fused = executor.run_fused(&program, &inputs).unwrap();
     let cells = program.space().num_cells();
     assert!(
@@ -337,7 +334,6 @@ fn fused_steps_state_round_trips_through_windows() {
     let plain = ReferenceExecutor::new();
     let baseline = plain.run_steps(&program, &inputs, 11).unwrap();
     let executor = ReferenceExecutor::new()
-        .with_tier_measurement(false)
         .with_fusion_window(2)
         .with_fusion_tile_rows(3);
     let fused = executor.run_steps_fused(&program, &inputs, 11).unwrap();
@@ -348,9 +344,7 @@ fn fused_steps_state_round_trips_through_windows() {
 fn fused_steady_state_allocates_nothing_from_the_pool() {
     let program = jacobi3d(1, &[12, 10, 16], 1);
     let inputs = generate_inputs(&program, 91);
-    let executor = ReferenceExecutor::new()
-        .with_tier_measurement(false)
-        .with_fusion_window(2);
+    let executor = ReferenceExecutor::new().with_fusion_window(2);
     // Warm-up populates the pool.
     executor.run_steps_fused(&program, &inputs, 6).unwrap();
     let warm_misses = executor.pool_miss_count();
@@ -379,13 +373,11 @@ fn fused_parallel_tiling_matches_sequential() {
     let program = jacobi3d(2, &[40, 16, 16], 1);
     let inputs = generate_inputs(&program, 101);
     let sequential = ReferenceExecutor::new()
-        .with_tier_measurement(false)
         .with_max_threads(1)
         .with_fusion_tile_rows(4)
         .run_fused(&program, &inputs)
         .unwrap();
     let parallel = ReferenceExecutor::new()
-        .with_tier_measurement(false)
         .with_fusion_tile_rows(4)
         .run_fused(&program, &inputs)
         .unwrap();
@@ -403,45 +395,6 @@ fn fused_parallel_tiling_matches_sequential() {
 }
 
 #[test]
-fn measured_routing_stays_bit_identical_and_caches_the_decision() {
-    // The default `run_fused` path now measures the eligible execution
-    // paths on first sight (like the service layer's automatic tier
-    // selection). Whatever wins, the result must stay bit-identical to
-    // the interpreter, and repeat traffic must hit the cached decision.
-    let program = jacobi2d(2, &[14, 11], 1);
-    let inputs = generate_inputs(&program, 111);
-    let executor = ReferenceExecutor::new();
-    let interpreted = executor.run_interpreted(&program, &inputs).unwrap();
-    assert_eq!(executor.tier_measure_count(), 0);
-    let first = executor.run_fused(&program, &inputs).unwrap();
-    assert_outputs_match(&program, "measured single", &first, &interpreted);
-    assert_eq!(executor.tier_measure_count(), 1);
-    for _ in 0..3 {
-        let repeat = executor.run_fused(&program, &inputs).unwrap();
-        assert_outputs_match(&program, "measured repeat", &repeat, &interpreted);
-    }
-    assert_eq!(
-        executor.tier_measure_count(),
-        1,
-        "repeat traffic must reuse the measured decision"
-    );
-
-    // Stepped traffic is a distinct decision key.
-    let stepped = executor.run_steps_fused(&program, &inputs, 4).unwrap();
-    let baseline = executor.run_steps(&program, &inputs, 4).unwrap();
-    assert_outputs_match(&program, "measured stepped", &stepped, &baseline);
-    assert_eq!(executor.tier_measure_count(), 2);
-    executor.run_steps_fused(&program, &inputs, 4).unwrap();
-    assert_eq!(executor.tier_measure_count(), 2);
-
-    // The bypass knob pins the fused tier and never measures.
-    let pinned = ReferenceExecutor::new().with_tier_measurement(false);
-    let fused = pinned.run_fused(&program, &inputs).unwrap();
-    assert_outputs_match(&program, "pinned", &fused, &interpreted);
-    assert_eq!(pinned.tier_measure_count(), 0);
-}
-
-#[test]
 fn fused_handles_explicit_values() {
     // Hand-checked values through the fused path (not just equivalence).
     let program = StencilProgramBuilder::new("p", &[4])
@@ -456,7 +409,6 @@ fn fused_handles_explicit_values() {
         Grid::from_values(&["i"], &[4], &[1.0, 2.0, 3.0, 4.0]),
     );
     let result = ReferenceExecutor::new()
-        .with_tier_measurement(false)
         .run_fused(&program, &inputs)
         .unwrap();
     // Zero-constant default boundaries: s = [2, 4, 6, 3].

@@ -64,9 +64,7 @@ fn assert_tiers_match(
         compiled.jit_fallback_reason()
     );
     for &tile_rows in tile_heights {
-        let executor = ReferenceExecutor::new()
-            .with_tier_measurement(false)
-            .with_fusion_tile_rows(tile_rows);
+        let executor = ReferenceExecutor::new().with_fusion_tile_rows(tile_rows);
         let fused = executor.run_fused(program, inputs).unwrap();
         assert_outputs_match(
             program,
@@ -195,7 +193,6 @@ fn fused_time_stepping_keeps_lower_dimensional_inputs_constant() {
     for window in [1usize, 2, 3, steps] {
         for tile_rows in [0usize, 1, 3] {
             let executor = ReferenceExecutor::new()
-                .with_tier_measurement(false)
                 .with_fusion_window(window)
                 .with_fusion_tile_rows(tile_rows);
             let label = format!("window={window} tile_rows={tile_rows}");
@@ -230,7 +227,7 @@ fn transposed_lower_dimensional_inputs_fall_back_with_a_reason() {
         .output("s")
         .build()
         .unwrap();
-    let executor = ReferenceExecutor::new().with_tier_measurement(false);
+    let executor = ReferenceExecutor::new();
     let compiled = executor.prepare(&program).unwrap();
     assert!(!compiled.fused_tier_supported());
     assert_eq!(

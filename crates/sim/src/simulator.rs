@@ -217,10 +217,7 @@ impl Simulator {
                 .filter(|((from, _), _)| from == name)
                 .map(|(_, &idx)| idx)
                 .collect();
-            units.push(
-                StencilUnitSim::new(program, stencil, &input_channels, outs)
-                    .with_lane_batching(self.config.lane_batching),
-            );
+            units.push(StencilUnitSim::new(program, stencil, &input_channels, outs));
         }
 
         // Writers: one per program output.
@@ -402,37 +399,6 @@ mod tests {
         // streams (it is not orders of magnitude slower).
         assert!(multi.cycles >= single.cycles);
         assert!(multi.cycles < single.cycles * 3);
-    }
-
-    #[test]
-    fn lane_batched_simulation_is_bit_identical() {
-        // The lane-batching fast mode must not change a single output bit —
-        // only how many cells a unit may process per step.
-        let program = chain_program(&ChainSpec::new(4, 8).with_shape(&[16, 8, 8]));
-        let inputs = generate_inputs(&program, 3);
-        let scalar = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap()
-        .run(&inputs)
-        .unwrap();
-        let batched = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default().with_lane_batching(true),
-        )
-        .unwrap()
-        .run(&inputs)
-        .unwrap();
-        assert!(scalar.completed());
-        assert!(batched.completed());
-        let a = scalar.output("f4").unwrap();
-        let b = batched.output("f4").unwrap();
-        for (x, y) in a.as_slice().iter().zip(b.as_slice().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

@@ -12,9 +12,7 @@
 
 use crate::channel::Fifo;
 use std::collections::{BTreeMap, VecDeque};
-use stencilflow_expr::{
-    CompiledKernel, EvalScratch, LaneScratch, TypedKernel, TypedScratch, Value, KERNEL_LANES,
-};
+use stencilflow_expr::{CompiledKernel, EvalScratch, TypedKernel, TypedScratch, Value};
 use stencilflow_program::{BoundaryCondition, IterationSpace, StencilNode, StencilProgram};
 
 /// The per-field input port of a stencil unit: a channel plus the sliding
@@ -95,14 +93,6 @@ pub struct StencilUnitSim {
     typed_values: Vec<f64>,
     scratch: EvalScratch,
     typed_scratch: TypedScratch,
-    /// Functional fast mode: consume/evaluate/produce a full lane batch per
-    /// step when the windows and output channels allow it (see
-    /// [`StencilUnitSim::with_lane_batching`]).
-    lane_batching: bool,
-    /// Whether the typed kernel is branch-free (lane-batchable at all).
-    lane_capable: bool,
-    lane_values: Vec<[f64; KERNEL_LANES]>,
-    lane_scratch: LaneScratch<KERNEL_LANES>,
     output_type: stencilflow_expr::DataType,
     /// Outgoing channel indices.
     pub out_channels: Vec<usize>,
@@ -196,12 +186,10 @@ impl StencilUnitSim {
         }
         let slot_values = vec![Value::F64(0.0); slots.len()];
         let typed_values = vec![0.0; slots.len()];
-        let lane_values = vec![[0.0; KERNEL_LANES]; slots.len()];
         // Every stream value of the unit is tagged with the unit's data
         // type, so the specialization is uniform over the slots.
         let slot_types = vec![stencil.output_type; slots.len()];
         let typed = kernel.specialize(&slot_types);
-        let lane_capable = typed.as_ref().is_some_and(TypedKernel::supports_lanes);
 
         StencilUnitSim {
             name: stencil.name.clone(),
@@ -214,10 +202,6 @@ impl StencilUnitSim {
             typed_values,
             scratch: EvalScratch::default(),
             typed_scratch: TypedScratch::default(),
-            lane_batching: false,
-            lane_capable,
-            lane_values,
-            lane_scratch: LaneScratch::default(),
             output_type: stencil.output_type,
             out_channels,
             produced: 0,
@@ -225,22 +209,6 @@ impl StencilUnitSim {
             input_stalls: 0,
             output_stalls: 0,
         }
-    }
-
-    /// Enable lane-batched production (builder style): when the unit's
-    /// typed kernel is branch-free, its sliding windows already buffer the
-    /// taps of the next `KERNEL_LANES` cells (all interior — boundary
-    /// predication keeps the scalar path), and every output channel has
-    /// space for the whole batch, one [`StencilUnitSim::step`] call
-    /// consumes, evaluates, and produces all of them through
-    /// [`TypedKernel::eval_lanes`] over the contiguous window storage.
-    ///
-    /// The produced streams are bit-identical to the scalar unit's; cycle
-    /// counts and stall statistics stop modelling the hardware, which is
-    /// why this functional fast mode is off by default.
-    pub fn with_lane_batching(mut self, enabled: bool) -> Self {
-        self.lane_batching = enabled;
-        self
     }
 
     /// Whether the unit has produced its full output domain and drained all
@@ -251,13 +219,7 @@ impl StencilUnitSim {
     }
 
     /// Attempt one cycle of work; returns `true` if any progress was made.
-    ///
-    /// With [`StencilUnitSim::with_lane_batching`] enabled, a step may
-    /// instead process a whole lane batch when the data allows it.
     pub fn step(&mut self, now: u64, channels: &mut [Fifo]) -> bool {
-        if self.lane_batching && self.try_lane_batch(now, channels) {
-            return true;
-        }
         let mut progress = false;
         let cell = self.produced;
 
@@ -379,103 +341,6 @@ impl StencilUnitSim {
         true
     }
 
-    /// Try to consume, evaluate, and produce one full lane batch
-    /// (`KERNEL_LANES` consecutive cells of the innermost dimension) in this
-    /// step. Returns `false` — leaving the scalar cycle path to run — when
-    /// the kernel has control flow, the batch would cross a row end or
-    /// touch a boundary-predicated tap, input data or output space is
-    /// missing, or fewer than `KERNEL_LANES` cells remain.
-    fn try_lane_batch(&mut self, now: u64, channels: &mut [Fifo]) -> bool {
-        const L: usize = KERNEL_LANES;
-        if !self.lane_capable {
-            return false;
-        }
-        let cell = self.produced;
-        if cell + L > self.total_cells {
-            return false;
-        }
-        let index = self.decompose(cell);
-        let rank = self.space.shape.len();
-        let k = index[rank - 1];
-        // The batch must stay within one innermost-dimension run so that
-        // only the last index varies across lanes.
-        if k + L > self.space.shape[rank - 1] {
-            return false;
-        }
-        // Every tap of every lane must be interior: boundary predication
-        // (and its Copy re-reads) keeps the scalar path.
-        for tap in &self.slots {
-            for &(dim, off) in &tap.checks {
-                let (lo, hi) = if dim == rank - 1 {
-                    (k as i64 + off, (k + L - 1) as i64 + off)
-                } else {
-                    let pos = index[dim] as i64 + off;
-                    (pos, pos)
-                };
-                if lo < 0 || hi >= self.space.shape[dim] as i64 {
-                    return false;
-                }
-            }
-        }
-        // Top up every window to cover the batch's trailing cell; bail if a
-        // channel cannot supply it yet.
-        for port in &mut self.ports {
-            let required = port.required_consumed(cell + L - 1, self.total_cells);
-            while port.consumed < required {
-                let Ok(value) = channels[port.channel].pop(now) else {
-                    return false;
-                };
-                if port.window.is_empty() {
-                    port.window_base = port.consumed as i64;
-                }
-                port.window.push_back(value);
-                port.consumed += 1;
-            }
-            // Make the window contiguous so taps gather from one slice.
-            port.window.make_contiguous();
-        }
-        // Reserve output space for the whole batch. Bandwidth-limited
-        // channels cap their per-cycle credits below a batch, so units
-        // writing to them permanently fall back to the scalar path — a
-        // silent fallback, not a stall: the scalar cycle does its own stall
-        // accounting when it genuinely cannot push.
-        if !self.out_channels.iter().all(|&c| channels[c].can_push_n(L)) {
-            return false;
-        }
-
-        // Gather each tap's lanes from the contiguous window run and round
-        // them through the unit's data type, exactly as the scalar path
-        // tags per-cell values.
-        let dtype = self.output_type;
-        let mut lanes = std::mem::take(&mut self.lane_values);
-        for (tap, lane_row) in self.slots.iter().zip(lanes.iter_mut()) {
-            let port = &self.ports[tap.port];
-            let start = (cell as i64 + tap.linear - port.window_base) as usize;
-            let (window, _) = port.window.as_slices();
-            for (value, &raw) in lane_row.iter_mut().zip(window[start..start + L].iter()) {
-                *value = Value::from_f64(raw, dtype).as_f64();
-            }
-        }
-        let typed = self.typed.as_ref().expect("lane_capable implies typed");
-        let mut scratch = std::mem::take(&mut self.lane_scratch);
-        let result = typed.eval_lanes(&lanes, &mut scratch);
-        self.lane_scratch = scratch;
-        self.lane_values = lanes;
-        for &c in &self.out_channels {
-            for &value in &result {
-                channels[c]
-                    .push(now, Value::from_f64(value, dtype).as_f64())
-                    .expect("batch space reserved by the can_push_n check above");
-            }
-        }
-        self.produced += L;
-        let next = self.produced;
-        for port in &mut self.ports {
-            port.prune(next);
-        }
-        true
-    }
-
     fn decompose(&self, mut flat: usize) -> Vec<usize> {
         let shape = &self.space.shape;
         let mut index = vec![0usize; shape.len()];
@@ -577,116 +442,6 @@ mod tests {
         }
         for (a, b) in outputs[0].iter().zip(outputs[1].iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn lane_batched_unit_matches_scalar_unit_bitwise() {
-        // A 2-D stencil with boundary predication on both ends of the
-        // innermost dimension: interior cells lane-batch (when enough data
-        // is buffered), halo cells take the scalar path, and the produced
-        // stream must match the scalar unit's bit for bit.
-        let program = StencilProgramBuilder::new("p", &[4, 19])
-            .input("a", DataType::Float32, &["i", "j"])
-            .stencil("s", "0.5 * (a[i,j-1] + a[i,j+1]) - 0.25 * a[i-1,j]")
-            .boundary("s", "a", BoundaryCondition::Constant(0.75))
-            .output("s")
-            .build()
-            .unwrap();
-        let stencil = program.stencil("s").unwrap();
-        let total = program.space().num_cells();
-        let data: Vec<f64> = (0..total)
-            .map(|v| (v as f64 * 0.37) as f32 as f64)
-            .collect();
-        let mut outputs: Vec<Vec<f64>> = Vec::new();
-        for lane_batching in [false, true] {
-            let mut channels = vec![Fifo::new("a->s", 1024), Fifo::new("s->out", 1024)];
-            let wiring: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-            let mut unit = StencilUnitSim::new(&program, stencil, &wiring, vec![1])
-                .with_lane_batching(lane_batching);
-            assert!(unit.lane_capable);
-            let mut fed = 0usize;
-            for cycle in 0..10_000u64 {
-                for c in channels.iter_mut() {
-                    c.begin_cycle();
-                }
-                // Feed eagerly so the lane path has whole batches buffered.
-                while fed < data.len() && channels[0].can_push() {
-                    channels[0].push(cycle, data[fed]).unwrap();
-                    fed += 1;
-                }
-                unit.step(cycle, &mut channels);
-                if unit.done() {
-                    break;
-                }
-            }
-            assert!(unit.done());
-            assert_eq!(unit.produced, total);
-            outputs.push(
-                (0..total)
-                    .map(|_| channels[1].pop(1_000_000).unwrap())
-                    .collect(),
-            );
-        }
-        for (cell, (a, b)) in outputs[0].iter().zip(outputs[1].iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "cell {cell}: {a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn branchy_kernels_lane_batch_after_if_conversion() {
-        // A data-dependent ternary used to force the scalar path
-        // (`supports_lanes` rejected the jump diamond); the if-conversion
-        // pass lowers it to a select, so the unit's lane mode engages — and
-        // the produced stream must still match the scalar unit bit for bit.
-        let program = StencilProgramBuilder::new("p", &[4, 19])
-            .input("a", DataType::Float32, &["i", "j"])
-            .stencil(
-                "s",
-                "d = a[i,j] - a[i,j-1]; d > 0.0 ? d * a[i,j+1] : -d * a[i,j]",
-            )
-            .boundary("s", "a", BoundaryCondition::Constant(0.25))
-            .output("s")
-            .build()
-            .unwrap();
-        let stencil = program.stencil("s").unwrap();
-        let total = program.space().num_cells();
-        let data: Vec<f64> = (0..total)
-            .map(|v| ((v as f64 * 0.61 - 11.0) as f32) as f64)
-            .collect();
-        let mut outputs: Vec<Vec<f64>> = Vec::new();
-        for lane_batching in [false, true] {
-            let mut channels = vec![Fifo::new("a->s", 1024), Fifo::new("s->out", 1024)];
-            let wiring: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-            let mut unit = StencilUnitSim::new(&program, stencil, &wiring, vec![1])
-                .with_lane_batching(lane_batching);
-            assert!(
-                unit.lane_capable,
-                "if-converted ternary kernels must support lanes"
-            );
-            let mut fed = 0usize;
-            for cycle in 0..10_000u64 {
-                for c in channels.iter_mut() {
-                    c.begin_cycle();
-                }
-                while fed < data.len() && channels[0].can_push() {
-                    channels[0].push(cycle, data[fed]).unwrap();
-                    fed += 1;
-                }
-                unit.step(cycle, &mut channels);
-                if unit.done() {
-                    break;
-                }
-            }
-            assert!(unit.done());
-            outputs.push(
-                (0..total)
-                    .map(|_| channels[1].pop(1_000_000).unwrap())
-                    .collect(),
-            );
-        }
-        for (cell, (a, b)) in outputs[0].iter().zip(outputs[1].iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "cell {cell}: {a:?} vs {b:?}");
         }
     }
 

@@ -5,7 +5,12 @@
 #
 # Gates, in order:
 #   1. cargo fmt --check          — formatting
-#   2. cargo build --release     — the build the benchmarks and examples use
+#   2. cargo build --release     — the build the benchmarks and examples
+#                                  use, plus the standalone benchmark
+#                                  harness `perfbench/` (its own workspace,
+#                                  which no other gate compiles), so an API
+#                                  change in the crates it drives cannot
+#                                  break the benchmark silently
 #   3. cargo test -q             — tier-1 tests (incl. golden equivalence
 #                                  and the in-crate speedup floors)
 #   4. cargo clippy -D warnings  — lints
@@ -116,6 +121,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> benchmark harness build (perfbench/)"
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
